@@ -1,25 +1,27 @@
 //! E12g — service shard scaling: the same multi-tenant open-loop load driven
-//! through `rrs-service` at 1, 2, 4 and 8 shards, with and without a mid-run
-//! shard kill/restore.
+//! through a supervised `rrs-service` at 1, 2, 4 and 8 shards, steady and
+//! with a mid-run worker kill (a `kill@ROUND:SHARD` fault plan the supervisor
+//! recovers from checkpoint + WAL), plus the cost of shard snapshots and of
+//! the replay-based restore as the arrival log grows.
 //!
 //! On a multi-core machine throughput should grow with the shard count until
 //! tenants-per-shard stops amortizing the command queue; on a single-core
 //! container the curves collapse to the 1-shard line plus queue overhead.
-//! Before timing anything, the harness asserts kill/restore conformance:
-//! every shard count (with a kill/restore in the middle) must produce final
-//! per-tenant results identical to the 1-shard uninterrupted run.
+//! Before timing anything, the harness asserts conformance: every shard
+//! count, with a kill in the middle, must produce final per-tenant results
+//! identical to lone tenants fed the same arrivals.
 //!
-//! E13b — supervised recovery and overload shedding: the same load through a
-//! [`Supervisor`], steady vs a fault plan that kills every shard's worker
-//! once (the steady/faulted gap is the checkpoint + WAL recovery cost), and
-//! a 4× overload drive with and without an inbox watermark (the shedding
-//! fast-path vs buffering everything). Both are gated on bit-identical
-//! results against the unsupervised reference before timing.
+//! E13b — supervised recovery and overload shedding: the same load steady vs
+//! a fault plan that kills every shard's worker once (the steady/faulted gap
+//! is the checkpoint + WAL recovery cost), and a 4× overload drive with and
+//! without an inbox watermark (the shedding fast-path vs buffering
+//! everything). Both are gated on bit-identical results against the
+//! lone-tenant reference before timing.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rrs_service::{
-    FaultPlan, PolicySpec, RetryPolicy, Service, ServiceConfig, ShedConfig, Supervisor,
-    SupervisorConfig, TenantSpec,
+    FaultPlan, PolicySpec, RetryPolicy, ShedConfig, Supervisor, SupervisorConfig, Tenant,
+    TenantSpec,
 };
 use rrs_workloads::{MultiTenantLoad, OpenLoopDriver, RandomBatched, WorkloadSpec};
 use std::hint::black_box;
@@ -42,57 +44,80 @@ fn bench_load(horizon: u64) -> MultiTenantLoad {
     )
 }
 
-/// Drives the whole load through a service; optionally kills and restores
-/// one shard halfway. Returns the final per-tenant results (tenant order).
-fn drive(driver: &OpenLoopDriver, shards: usize, kill_mid_run: bool) -> Vec<rrs_core::RunResult> {
-    let mut svc = Service::new(ServiceConfig { shards, queue_capacity: 64 }).expect("service start");
-    for t in 0..driver.tenants() {
-        let spec = TenantSpec::new(
-            PolicySpec::DlruEdf,
-            driver.trace(t).colors().clone(),
-            N,
-            DELTA,
-        );
-        svc.add_tenant(t, spec).expect("add tenant");
-    }
-    let horizon = driver.horizon();
-    for round in 0..=horizon {
-        for t in 0..driver.tenants() {
-            let arrivals = driver.arrivals(t, round);
-            if !arrivals.is_empty() {
-                svc.submit(t, arrivals).expect("submit");
+fn tenant_spec(driver: &OpenLoopDriver, t: u64) -> TenantSpec {
+    TenantSpec::new(PolicySpec::DlruEdf, driver.trace(t).colors().clone(), N, DELTA)
+}
+
+/// The reference: each tenant's arrivals through a lone tenant, ticked to
+/// the fleet horizon like the service does. Results in tenant order.
+fn lone_results(driver: &OpenLoopDriver) -> Vec<rrs_core::RunResult> {
+    (0..driver.tenants())
+        .map(|t| {
+            let mut lone = Tenant::new(tenant_spec(driver, t)).expect("tenant");
+            for round in 0..=driver.horizon() {
+                lone.submit(&driver.arrivals(t, round)).expect("submit");
+                lone.tick().expect("tick");
             }
-        }
-        svc.tick().expect("tick");
-        if kill_mid_run && round == horizon / 2 {
-            let victim = 0;
-            let snap = svc.snapshot_shard(victim).expect("snapshot");
-            assert!(snap.conserves_jobs(), "conservation before kill");
-            svc.kill_shard(victim).expect("kill");
-            svc.restore_shard(snap).expect("restore");
-        }
+            lone.finish().expect("finish")
+        })
+        .collect()
+}
+
+/// Kills shard 0's worker while it applies the middle round.
+fn mid_run_kill(driver: &OpenLoopDriver, shards: usize) -> FaultPlan {
+    let spec = format!("kill@{}:0", driver.horizon() / 2 + 1);
+    FaultPlan::parse(&spec, shards, driver.horizon() + 1).expect("fault plan")
+}
+
+/// Drives the whole load through a supervisor under a fault plan. Returns
+/// the final per-tenant results (tenant order).
+fn drive(
+    driver: &OpenLoopDriver,
+    shards: usize,
+    plan: &FaultPlan,
+    shed: ShedConfig,
+) -> Vec<rrs_core::RunResult> {
+    let config = SupervisorConfig {
+        shards,
+        queue_capacity: 64,
+        checkpoint_every: 32,
+        retry: RetryPolicy::default(),
+        shed,
+        ..SupervisorConfig::default()
+    };
+    let mut sup = Supervisor::with_faults(config, plan).expect("supervisor start");
+    for t in 0..driver.tenants() {
+        sup.add_tenant(t, tenant_spec(driver, t)).expect("add tenant");
     }
-    let results = svc.finish().expect("finish");
+    for round in 0..=driver.horizon() {
+        for t in 0..driver.tenants() {
+            sup.submit(t, driver.arrivals(t, round)).expect("submit");
+        }
+        sup.tick().expect("tick");
+    }
+    let results = sup.finish().expect("finish");
     (0..driver.tenants()).map(|t| results[&t].clone()).collect()
 }
 
 fn bench_shard_scaling(c: &mut Criterion) {
+    quiet_injected_panics();
     let load = bench_load(256);
     let driver = OpenLoopDriver::new(&load);
     let jobs: u64 = (0..TENANTS).map(|t| driver.trace(t).total_jobs()).sum();
+    let no_shed = ShedConfig::default();
 
-    // Kill/restore conformance gate: all shard counts, kill or not, must
-    // agree with the 1-shard uninterrupted reference bit for bit.
-    let reference = drive(&driver, 1, false);
+    // Conformance gate: every shard count, with a mid-run kill, must agree
+    // with the lone-tenant reference bit for bit.
+    let reference = lone_results(&driver);
     for shards in [1usize, 2, 4, 8] {
-        let with_kill = drive(&driver, shards, true);
         assert_eq!(
-            with_kill, reference,
-            "kill/restore at {shards} shards changed results"
+            drive(&driver, shards, &mid_run_kill(&driver, shards), no_shed),
+            reference,
+            "kill and recovery at {shards} shards changed results"
         );
     }
     println!(
-        "service: kill/restore conformance OK at 1/2/4/8 shards \
+        "service: kill/recover conformance OK at 1/2/4/8 shards \
          ({TENANTS} tenants, {jobs} jobs)"
     );
 
@@ -100,11 +125,12 @@ fn bench_shard_scaling(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements(jobs));
     for shards in [1usize, 2, 4, 8] {
+        let kill = mid_run_kill(&driver, shards);
         group.bench_function(BenchmarkId::new("steady", shards), |b| {
-            b.iter(|| black_box(drive(&driver, shards, false)).len());
+            b.iter(|| black_box(drive(&driver, shards, &FaultPlan::none(), no_shed)).len());
         });
-        group.bench_function(BenchmarkId::new("kill-restore", shards), |b| {
-            b.iter(|| black_box(drive(&driver, shards, true)).len());
+        group.bench_function(BenchmarkId::new("kill-recover", shards), |b| {
+            b.iter(|| black_box(drive(&driver, shards, &kill, no_shed)).len());
         });
     }
     group.finish();
@@ -117,89 +143,51 @@ fn bench_snapshot_restore(c: &mut Criterion) {
     for horizon in [64u64, 256] {
         let load = bench_load(horizon);
         let driver = OpenLoopDriver::new(&load);
-        let mut svc = Service::new(ServiceConfig { shards: 2, queue_capacity: 64 }).expect("service start");
+        let config = SupervisorConfig { shards: 2, queue_capacity: 64, ..Default::default() };
+        let mut sup = Supervisor::new(config).expect("supervisor start");
         for t in 0..driver.tenants() {
-            let spec = TenantSpec::new(
-                PolicySpec::DlruEdf,
-                driver.trace(t).colors().clone(),
-                N,
-                DELTA,
-            );
-            svc.add_tenant(t, spec).expect("add tenant");
+            sup.add_tenant(t, tenant_spec(&driver, t)).expect("add tenant");
         }
         for round in 0..=driver.horizon() {
             for t in 0..driver.tenants() {
-                let arrivals = driver.arrivals(t, round);
-                if !arrivals.is_empty() {
-                    svc.submit(t, arrivals).expect("submit");
-                }
+                sup.submit(t, driver.arrivals(t, round)).expect("submit");
             }
-            svc.tick().expect("tick");
+            sup.tick().expect("tick");
         }
         group.bench_function(BenchmarkId::new("snapshot", horizon), |b| {
-            b.iter(|| black_box(svc.snapshot_shard(0).expect("snapshot")));
+            b.iter(|| black_box(sup.snapshot_shard(0).expect("snapshot")));
         });
-        let snap = svc.snapshot_shard(0).expect("snapshot");
+        let snap = sup.snapshot_shard(0).expect("snapshot");
         group.bench_function(BenchmarkId::new("restore-replay", horizon), |b| {
             b.iter(|| {
                 rrs_service::restore_tenants(black_box(snap.clone())).expect("restore").len()
             });
         });
-        svc.finish().expect("finish");
+        sup.finish().expect("finish");
     }
     group.finish();
 }
 
-/// Drives the whole load through a supervisor under a fault plan. Returns
-/// the final per-tenant results (tenant order).
-fn drive_supervised(
-    driver: &OpenLoopDriver,
-    shards: usize,
-    plan: &FaultPlan,
-    shed: ShedConfig,
-) -> Vec<rrs_core::RunResult> {
-    let config = SupervisorConfig {
-        shards,
-        queue_capacity: 64,
-        checkpoint_every: 32,
-        retry: RetryPolicy::default(),
-        shed,
-        ingest: rrs_service::IngestMode::Batched,
-    };
-    let mut sup = Supervisor::with_faults(config, plan).expect("supervisor start");
-    for t in 0..driver.tenants() {
-        let spec = TenantSpec::new(
-            PolicySpec::DlruEdf,
-            driver.trace(t).colors().clone(),
-            N,
-            DELTA,
-        );
-        sup.add_tenant(t, spec).expect("add tenant");
-    }
-    for round in 0..=driver.horizon() {
-        for t in 0..driver.tenants() {
-            sup.submit(t, driver.arrivals(t, round)).expect("submit");
-        }
-        sup.tick().expect("tick");
-    }
-    let results = sup.finish().expect("finish");
-    (0..driver.tenants()).map(|t| results[&t].clone()).collect()
-}
-
-/// Injected panics are expected during the recovery bench; keep them quiet.
+/// Injected panics are expected during the recovery benches; keep them
+/// quiet.
 fn quiet_injected_panics() {
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let injected = info
-            .payload()
-            .downcast_ref::<String>()
-            .map(|s| s.contains("injected fault"))
-            .or_else(|| info.payload().downcast_ref::<&str>().map(|s| s.contains("injected fault")))
-            .unwrap_or(false);
-        if !injected {
-            default_hook(info);
-        }
-    }));
+    static HOOK: std::sync::Once = std::sync::Once::new();
+    HOOK.call_once(|| {
+        let default_hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let injected = info
+                .payload()
+                .downcast_ref::<String>()
+                .map(|s| s.contains("injected fault"))
+                .or_else(|| {
+                    info.payload().downcast_ref::<&str>().map(|s| s.contains("injected fault"))
+                })
+                .unwrap_or(false);
+            if !injected {
+                default_hook(info);
+            }
+        }));
+    });
 }
 
 fn bench_supervised_recovery(c: &mut Criterion) {
@@ -210,17 +198,17 @@ fn bench_supervised_recovery(c: &mut Criterion) {
     let no_shed = ShedConfig::default();
 
     // Conformance gate: supervised steady and supervised-with-kills must both
-    // match the unsupervised reference bit for bit.
-    let reference = drive(&driver, 2, false);
+    // match the lone-tenant reference bit for bit.
+    let reference = lone_results(&driver);
     for shards in [2usize, 4] {
         let plan = FaultPlan::kill_each_shard_once(shards, driver.horizon() + 1, 7);
         assert_eq!(
-            drive_supervised(&driver, shards, &FaultPlan::none(), no_shed),
+            drive(&driver, shards, &FaultPlan::none(), no_shed),
             reference,
             "supervised steady run diverged at {shards} shards"
         );
         assert_eq!(
-            drive_supervised(&driver, shards, &plan, no_shed),
+            drive(&driver, shards, &plan, no_shed),
             reference,
             "recovery at {shards} shards changed results"
         );
@@ -233,12 +221,10 @@ fn bench_supervised_recovery(c: &mut Criterion) {
     for shards in [2usize, 4] {
         let plan = FaultPlan::kill_each_shard_once(shards, driver.horizon() + 1, 7);
         group.bench_function(BenchmarkId::new("supervised-steady", shards), |b| {
-            b.iter(|| {
-                black_box(drive_supervised(&driver, shards, &FaultPlan::none(), no_shed)).len()
-            });
+            b.iter(|| black_box(drive(&driver, shards, &FaultPlan::none(), no_shed)).len());
         });
         group.bench_function(BenchmarkId::new("kill-each-shard", shards), |b| {
-            b.iter(|| black_box(drive_supervised(&driver, shards, &plan, no_shed)).len());
+            b.iter(|| black_box(drive(&driver, shards, &plan, no_shed)).len());
         });
     }
     group.finish();
@@ -258,7 +244,7 @@ fn bench_shedding_throughput(c: &mut Criterion) {
             checkpoint_every: 32,
             retry: RetryPolicy::default(),
             shed,
-            ingest: rrs_service::IngestMode::Batched,
+            ..SupervisorConfig::default()
         };
         let mut sup = Supervisor::new(config).expect("supervisor start");
         let colors = rrs_core::ColorTable::from_delay_bounds(&[4, 8, 16, 32]);

@@ -1,7 +1,6 @@
 //! E14 — durable storage tier: the same supervised multi-tenant load driven
 //! on the in-memory backend vs the on-disk WAL + checkpoint store (with and
-//! without fsync), plus cold-start recovery and the coalescing file cache's
-//! hit path.
+//! without fsync), plus cold-start recovery.
 //!
 //! Before timing anything, the harness asserts storage conformance: the
 //! disk backend must produce final per-tenant results bit-identical to the
@@ -10,8 +9,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rrs_core::{ColorId, ColorTable};
 use rrs_service::{
-    DiskBackend, DiskConfig, FaultPlan, FileCache, IngestMode, MemoryBackend, PolicySpec,
-    StorageBackend, Supervisor, SupervisorConfig, TenantSpec,
+    DiskBackend, DiskConfig, FaultPlan, MemoryBackend, PolicySpec, StorageBackend, Supervisor,
+    SupervisorConfig, TenantSpec,
 };
 use std::hint::black_box;
 use std::path::PathBuf;
@@ -42,12 +41,8 @@ fn total_jobs() -> u64 {
 
 /// Drives the whole load on `backend`; returns final results tenant-ordered.
 fn drive(backend: Box<dyn StorageBackend>) -> Vec<rrs_core::RunResult> {
-    let config = SupervisorConfig {
-        shards: SHARDS,
-        checkpoint_every: 24,
-        ingest: IngestMode::Batched,
-        ..SupervisorConfig::default()
-    };
+    let config =
+        SupervisorConfig { shards: SHARDS, checkpoint_every: 24, ..SupervisorConfig::default() };
     let mut sup =
         Supervisor::with_storage(config, &FaultPlan::none(), backend).expect("supervisor start");
     for id in 0..TENANTS {
@@ -111,12 +106,8 @@ fn bench_cold_start(c: &mut Criterion) {
     // Write one durable run, then repeatedly cold-start supervisors over it.
     let dir = scratch("coldstart");
     drive(Box::new(DiskBackend::new(disk_config(&dir, false))));
-    let config = SupervisorConfig {
-        shards: SHARDS,
-        checkpoint_every: 24,
-        ingest: IngestMode::Batched,
-        ..SupervisorConfig::default()
-    };
+    let config =
+        SupervisorConfig { shards: SHARDS, checkpoint_every: 24, ..SupervisorConfig::default() };
     let mut group = c.benchmark_group("storage-cold-start");
     group.sample_size(10);
     group.bench_function(BenchmarkId::new("recover", ROUNDS), |b| {
@@ -138,30 +129,5 @@ fn bench_cold_start(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-fn bench_file_cache(c: &mut Criterion) {
-    // The single-flight cache's steady-state hit path vs a raw read.
-    let dir = scratch("cache");
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    let path = dir.join("blob");
-    std::fs::write(&path, vec![7u8; 64 * 1024]).expect("write blob");
-    let cache = FileCache::new(8 * 1024 * 1024);
-    let mut group = c.benchmark_group("storage-file-cache");
-    group.throughput(Throughput::Bytes(64 * 1024));
-    group.bench_function("hit", |b| {
-        b.iter(|| {
-            let bytes = cache
-                .get_or_load(&path, || Ok(std::fs::read(&path).expect("read")))
-                .expect("cache get");
-            black_box(bytes.len())
-        });
-    });
-    group.bench_function("raw-read", |b| {
-        b.iter(|| black_box(std::fs::read(&path).expect("read")).len());
-    });
-    group.finish();
-    assert!(cache.stats().hits > 0, "hit path never exercised");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-criterion_group!(benches, bench_backends, bench_cold_start, bench_file_cache);
+criterion_group!(benches, bench_backends, bench_cold_start);
 criterion_main!(benches);

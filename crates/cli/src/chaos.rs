@@ -3,16 +3,17 @@
 //! Enumerates a seeded lattice of fault combinations — worker faults
 //! (panics, stalls, dropped replies, corrupt snapshots) crossed with
 //! storage IO faults (transient errors, slow IO, error bursts, disk-full,
-//! torn writes, CRC flips) — across **both** storage backends and **both**
-//! ingest modes. Every cell drives the same deterministic multi-tenant
-//! workload through a supervised service and is held to three oracles:
+//! torn writes, CRC flips) — across **both** storage backends. Every cell
+//! drives the same deterministic multi-tenant workload through a supervised
+//! service and is held to three oracles:
 //!
 //! * **zero panics** — every injected fault is absorbed by the supervisor
 //!   or the self-healing storage layer; any surfaced error fails the cell;
 //! * **job conservation** — `arrived == executed + dropped + shed + queued`
 //!   on the live run and again on the cold-start recovery;
 //! * **bit-identical final state** — the faulted run's per-tenant
-//!   [`RunResult`]s must equal a fault-free oracle run, and a disk cell's
+//!   [`RunResult`]s must equal the same arrivals fed through lone
+//!   [`Tenant`]s (no service, no faults), and a disk cell's
 //!   cold start must recover a consistent *prefix* of the live run: every
 //!   recovered shard epoch `<=` the live epoch, recovered per-tenant
 //!   progress `<=` live progress, and when every shard recovered its full
@@ -25,9 +26,9 @@
 
 use rrs_core::{ColorId, ColorTable, RunResult};
 use rrs_service::{
-    BreakerConfig, DiskBackend, DiskConfig, Fault, FaultKind, FaultPlan, IngestMode,
-    MemoryBackend, PolicySpec, RetryPolicy, ShedConfig, StorageBackend, Supervisor,
-    SupervisorConfig, TenantSpec,
+    BreakerConfig, DiskBackend, DiskConfig, Fault, FaultKind, FaultPlan, MemoryBackend,
+    PolicySpec, RetryPolicy, ShedConfig, StorageBackend, Supervisor, SupervisorConfig, Tenant,
+    TenantSpec,
 };
 use serde_json::Value;
 use std::collections::BTreeMap;
@@ -96,7 +97,7 @@ fn shards_for(base_seed: u64) -> usize {
     1 + (base_seed % 3) as usize
 }
 
-fn config(shards: usize, ingest: IngestMode) -> SupervisorConfig {
+fn config(shards: usize) -> SupervisorConfig {
     SupervisorConfig {
         shards,
         queue_capacity: 8,
@@ -107,7 +108,7 @@ fn config(shards: usize, ingest: IngestMode) -> SupervisorConfig {
             backoff: Duration::from_millis(2),
         },
         shed: ShedConfig::default(),
-        ingest,
+        ..SupervisorConfig::default()
     }
 }
 
@@ -115,13 +116,6 @@ fn disk_backend(dir: &Path) -> Box<DiskBackend> {
     let mut cfg = DiskConfig::new(dir);
     cfg.io_backoff = Duration::from_micros(50); // keep injected retries fast
     Box::new(DiskBackend::new(cfg))
-}
-
-fn ingest_name(ingest: IngestMode) -> &'static str {
-    match ingest {
-        IngestMode::Batched => "batched",
-        IngestMode::PerCommand => "per-command",
-    }
 }
 
 /// Drives the standard workload through `sup`, checking conservation
@@ -156,13 +150,20 @@ fn drive(
     Ok((results, ticks, storage))
 }
 
-/// The fault-free oracle for one `(base_seed, ingest)` pair: the same
-/// workload, memory-backed, no faults.
-fn oracle(base_seed: u64, ingest: IngestMode) -> Result<BTreeMap<u64, RunResult>, String> {
-    let shards = shards_for(base_seed);
-    let sup = Supervisor::with_faults(config(shards, ingest), &FaultPlan::none())
-        .map_err(|e| format!("oracle start: {e}"))?;
-    drive(sup, base_seed, shards).map(|(r, _, _)| r)
+/// The oracle for one base seed: the same workload through lone tenants —
+/// no service, no shards, no faults.
+fn oracle(base_seed: u64) -> Result<BTreeMap<u64, RunResult>, String> {
+    (0..TENANTS)
+        .map(|id| {
+            let err = |e: rrs_service::ServiceError| format!("tenant {id}: {e}");
+            let mut t = Tenant::new(spec(policy_for(id))).map_err(err)?;
+            for round in 0..ROUNDS {
+                t.submit(&arrivals(base_seed, id, round)).map_err(err)?;
+                t.tick().map_err(err)?;
+            }
+            Ok((id, t.finish().map_err(err)?))
+        })
+        .collect()
 }
 
 /// One lattice cell's verdict, as deterministic JSON fields.
@@ -182,15 +183,11 @@ fn run_cell(
     worker_faults: usize,
     io_faults: usize,
     backend_name: &str,
-    ingest: IngestMode,
     root: &Path,
     clean: &BTreeMap<u64, RunResult>,
 ) -> Result<CellReport, String> {
     let shards = shards_for(base_seed);
-    let key = format!(
-        "s{base_seed}-w{worker_faults}-i{io_faults}-{backend_name}-{}",
-        ingest_name(ingest)
-    );
+    let key = format!("s{base_seed}-w{worker_faults}-i{io_faults}-{backend_name}");
     let mut cell_seed = base_seed
         .wrapping_mul(0x0105_1965)
         .wrapping_add((worker_faults * 7 + io_faults * 13) as u64);
@@ -207,7 +204,7 @@ fn run_cell(
     } else {
         Box::new(MemoryBackend::new())
     };
-    let sup = Supervisor::with_storage(config(shards, ingest), &plan, backend)
+    let sup = Supervisor::with_storage(config(shards), &plan, backend)
         .map_err(|e| format!("{key}: start: {e}"))?;
     let (results, live_ticks, storage) =
         drive(sup, base_seed, shards).map_err(|e| format!("{key}: {e}"))?;
@@ -218,12 +215,8 @@ fn run_cell(
     // Disk cells: the cold-start prefix-consistency oracle.
     let mut recovery = "n/a";
     if backend_name == "disk" {
-        let sup = Supervisor::with_storage(
-            config(shards, ingest),
-            &FaultPlan::none(),
-            disk_backend(&dir),
-        )
-        .map_err(|e| format!("{key}: cold start: {e}"))?;
+        let sup = Supervisor::with_storage(config(shards), &FaultPlan::none(), disk_backend(&dir))
+            .map_err(|e| format!("{key}: cold start: {e}"))?;
         let mut full = true;
         for (s, &live) in live_ticks.iter().enumerate() {
             let rec = sup
@@ -310,7 +303,7 @@ fn breaker_probe(backend_name: &str, root: &Path) -> Result<Value, String> {
     } else {
         Box::new(MemoryBackend::new())
     };
-    let mut sup = Supervisor::with_storage(config(shards, IngestMode::Batched), &plan, backend)
+    let mut sup = Supervisor::with_storage(config(shards), &plan, backend)
         .map_err(|e| format!("breaker/{backend_name}: start: {e}"))?;
     sup.set_breaker(BreakerConfig {
         trip_after: 3,
@@ -394,31 +387,24 @@ pub fn cmd_chaos(args: &[String]) -> ExitCode {
         BASE_SEEDS.iter().map(|s| s ^ seed).collect()
     };
     let backends = ["memory", "disk"];
-    let ingests = [IngestMode::Batched, IngestMode::PerCommand];
 
-    let mut oracles: BTreeMap<(u64, &'static str), BTreeMap<u64, RunResult>> = BTreeMap::new();
     let mut cells: Vec<CellReport> = Vec::new();
     let mut failures: Vec<String> = Vec::new();
 
     for &base_seed in &base_seeds {
-        for ingest in ingests {
-            let clean = match oracles.entry((base_seed, ingest_name(ingest))) {
-                std::collections::btree_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::btree_map::Entry::Vacant(e) => match oracle(base_seed, ingest) {
-                    Ok(r) => e.insert(r),
-                    Err(err) => {
-                        eprintln!("chaos: oracle s{base_seed}/{}: {err}", ingest_name(ingest));
-                        return ExitCode::FAILURE;
-                    }
-                },
-            };
-            for &wf in WORKER_LEVELS {
-                for &io in IO_LEVELS {
-                    for backend in backends {
-                        match run_cell(base_seed, wf, io, backend, ingest, &root, clean) {
-                            Ok(cell) => cells.push(cell),
-                            Err(e) => failures.push(e),
-                        }
+        let clean = match oracle(base_seed) {
+            Ok(r) => r,
+            Err(err) => {
+                eprintln!("chaos: oracle s{base_seed}: {err}");
+                return ExitCode::FAILURE;
+            }
+        };
+        for &wf in WORKER_LEVELS {
+            for &io in IO_LEVELS {
+                for backend in backends {
+                    match run_cell(base_seed, wf, io, backend, &root, &clean) {
+                        Ok(cell) => cells.push(cell),
+                        Err(e) => failures.push(e),
                     }
                 }
             }

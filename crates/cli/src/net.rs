@@ -18,9 +18,9 @@ use crate::{flag, opt_value};
 use rrs_analysis::table::Table;
 use rrs_core::{ColorTable, RunResult};
 use rrs_service::{
-    Codec, DiskBackend, DiskConfig, IngestMode, LatencyHistogramNs, MemoryBackend, NetCounters,
-    NetServer, NetSink, PolicySpec, RetryPolicy, ServiceError, SinkConfig, StorageBackend,
-    Supervisor, SupervisorConfig, TenantSpec,
+    Codec, DiskBackend, DiskConfig, LatencyHistogramNs, MemoryBackend, NetCounters, NetServer,
+    NetSink, PolicySpec, RetryPolicy, ServiceError, SinkConfig, StorageBackend, Supervisor,
+    SupervisorConfig, TenantSpec,
 };
 use rrs_workloads::loadgen::{EpochSink, SyntheticLoad};
 use serde_json::Value;
@@ -113,7 +113,7 @@ pub fn cmd_serve(args: &[String]) -> ExitCode {
         checkpoint_every,
         retry: RetryPolicy::default(),
         shed: Default::default(),
-        ingest: IngestMode::Batched,
+        ..SupervisorConfig::default()
     };
     let backend: Box<dyn StorageBackend> = if storage == "disk" {
         let mut disk_cfg = DiskConfig::new(data_dir);
@@ -306,7 +306,6 @@ pub fn cmd_bench_net(args: &[String]) -> ExitCode {
 
     let config = SupervisorConfig {
         shards,
-        ingest: IngestMode::Batched,
         ..SupervisorConfig::default()
     };
     let sink_cfg = |max_inflight: usize| SinkConfig {

@@ -17,9 +17,7 @@
 //! byte-identical — which is what the CI smoke checks with `cmp`.
 
 use rrs_core::{CostModel, Engine, EngineOptions, ObjectiveMetrics, RunResult};
-use rrs_service::{
-    FaultPlan, IngestMode, MemoryBackend, PolicySpec, Supervisor, SupervisorConfig, TenantSpec,
-};
+use rrs_service::{FaultPlan, MemoryBackend, PolicySpec, Supervisor, SupervisorConfig, TenantSpec};
 use rrs_workloads::prelude::*;
 use serde_json::Value;
 use std::collections::BTreeMap;
@@ -145,7 +143,6 @@ fn service_cell(
 ) -> Result<BTreeMap<u64, RunResult>, String> {
     let config = SupervisorConfig {
         shards,
-        ingest: IngestMode::Batched,
         ..SupervisorConfig::default()
     };
     let mut sup = Supervisor::with_storage(config, &FaultPlan::none(), Box::new(MemoryBackend::new()))

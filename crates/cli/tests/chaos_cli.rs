@@ -39,6 +39,9 @@ fn quick_lattice_passes_and_is_deterministic() {
     );
     let total = doc.get_field("cells_total").expect("cells_total");
     let passed = doc.get_field("cells_passed").expect("cells_passed");
+    // 2 base seeds x 3 worker-fault levels x 3 IO-fault levels x 2 backends:
+    // a lattice that silently loses (or gains) an axis fails here.
+    assert_eq!(total, &serde_json::Value::U64(36), "quick lattice size");
     assert_eq!(total, passed, "every cell must pass its oracles");
     assert_eq!(
         doc.get_field("failures"),

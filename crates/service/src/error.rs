@@ -1,4 +1,4 @@
-//! Service-level errors.
+//! Typed errors for every service operation.
 
 use crate::shard::TenantId;
 use std::fmt;

@@ -1,41 +1,42 @@
 //! # rrs-service — sharded multi-tenant streaming scheduler service
 //!
 //! Runs many independent [`rrs_core::StreamingEngine`] instances (one per
-//! *tenant*) behind a sharded command-queue front end:
+//! *tenant*) behind a [`Supervisor`] that owns a fixed set of shard
+//! workers:
 //!
-//! * tenants are hash-partitioned across a fixed set of **shards**
-//!   ([`Service::shard_of`]); each shard is one worker thread draining a
-//!   bounded MPSC queue of [`Command`]s (`Submit`, `Tick`, `Snapshot`,
-//!   `Stats`, `Restore`, `Finish`) with blocking backpressure when the
-//!   queue fills;
+//! * tenants are hash-partitioned across the shards ([`shard_for`]); each
+//!   shard is one worker thread draining a bounded MPSC queue of
+//!   [`Command`]s (`AddTenant`, `SubmitBatch`, `Tick`, `Snapshot`, `Stats`,
+//!   `Finish`), with counted backpressure and deadline-bounded sends when
+//!   the queue fills;
 //! * every tenant keeps its full **arrival log**, so a [`TenantSnapshot`] —
 //!   spec + log + inbox + [`rrs_core::EngineSnapshot`] — is serializable and
-//!   a killed shard can be rebuilt mid-run with **bit-identical**
-//!   continuation ([`Service::kill_shard`] / [`Service::restore_shard`]):
-//!   the log is replayed through a fresh engine and the result verified
-//!   against the recorded state;
-//! * a [`Supervisor`] adds **automatic fault tolerance** on top: it journals
-//!   every state-changing command into a per-shard write-ahead log
-//!   ([`Wal`]) before enqueueing, takes periodic validated [`Checkpoint`]s,
-//!   detects dead or stalled workers (captured panics, join-handle
-//!   monitoring, reply deadlines) and rebuilds them from checkpoint + WAL
-//!   replay — bit-identical to an unfailed run; cross-shard commands retry
-//!   with deadline-aware backoff ([`RetryPolicy`]) and overload **sheds**
+//!   restorable with **bit-identical** continuation: the log is replayed
+//!   through a fresh engine and the result verified against the recorded
+//!   state;
+//! * the supervisor journals every state-changing command into a per-shard
+//!   write-ahead log ([`Wal`], kept by a [`StorageBackend`]: memory or
+//!   disk) before enqueueing, buffers each tick epoch's submits into one
+//!   group commit, takes periodic validated [`Checkpoint`]s, detects dead
+//!   or stalled workers (captured panics, join-handle monitoring, reply
+//!   deadlines) and rebuilds them from checkpoint + WAL replay —
+//!   bit-identical to an unfailed run; cross-shard commands retry with
+//!   deadline-aware backoff ([`RetryPolicy`]) and overload **sheds**
 //!   arrivals at configurable watermarks ([`ShedConfig`]) instead of
 //!   blocking, counted per tenant as service-level drops;
 //! * deterministic **fault injection** ([`FaultPlan`]) arms seeded panics,
-//!   stalls, dropped replies and snapshot corruption at exact shard
-//!   lifetimes, for chaos tests that stay reproducible;
+//!   stalls, dropped replies, snapshot corruption and storage IO faults at
+//!   exact shard lifetimes, for chaos tests that stay reproducible;
 //! * per-shard and per-tenant counters (rounds, executed, dropped, shed,
 //!   recoveries, reconfiguration cost, queue depth, backpressure waits,
-//!   p50/p99 step latency) are exposed through [`Service::stats`] /
-//!   [`Supervisor::stats`] as a [`ServiceStats`].
+//!   p50/p99 step latency) are exposed through [`Supervisor::stats`] as a
+//!   [`ServiceStats`].
 //!
 //! Because every [`PolicySpec`] policy is deterministic, a tenant's final
 //! [`rrs_core::RunResult`] is independent of the shard count, of command
-//! interleaving across tenants, and of any kill/restore or crash/recover
-//! cycles — the conformance, fuzz and chaos tests in this crate check
-//! exactly that.
+//! interleaving across tenants, and of any crash/recover cycle — so a lone
+//! [`Tenant`] fed the same arrivals is the oracle the conformance, fuzz and
+//! chaos tests in this crate check the supervised service against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,7 +46,6 @@ pub mod error;
 pub mod faults;
 pub mod net;
 pub mod policy;
-pub mod service;
 pub mod shard;
 pub mod stats;
 pub mod storage;
@@ -57,15 +57,14 @@ pub use error::{ServiceError, ServiceResult};
 pub use faults::{Fault, FaultKind, FaultPlan, ShardFaults};
 pub use net::{NetCounters, NetServer, NetSink, SinkConfig};
 pub use policy::PolicySpec;
-pub use service::{shard_for, Service, ServiceConfig, ServiceSnapshot};
 pub use shard::{
-    restore_tenants, spawn_shard, spawn_shard_with, Backoff, Command, ShardHandle,
-    ShardSnapshot, TenantId, WorkerConfig,
+    restore_tenants, shard_for, spawn_shard_with, Backoff, Command, ShardHandle, ShardSnapshot,
+    TenantId, WorkerConfig,
 };
 pub use stats::{LatencyHistogramNs, ServiceStats, ShardStats};
 pub use storage::{
-    frame::Codec, CacheStats, DiskBackend, DiskConfig, FileCache, MemoryBackend,
-    ShardStore, StorageBackend, StorageStats,
+    frame::Codec, DiskBackend, DiskConfig, MemoryBackend, ShardStore, StorageBackend,
+    StorageStats,
 };
 pub use supervisor::{
     BreakerConfig, IngestMode, RecoveryEvent, RetryPolicy, ShedConfig, Supervisor,

@@ -15,7 +15,7 @@
 //!
 //! The invariant: a run driven through `NetSink` → `NetServer` produces
 //! results, stats, and snapshots bit-identical to the same workload run
-//! in-process under [`crate::IngestMode::Batched`] — the network layer
+//! in-process on a [`crate::Supervisor`] — the network layer
 //! adds transport, not semantics. The wire-level ack for an epoch is the
 //! storage tier's own durability receipt (`seq = WAL offset + 1` per
 //! shard), so a client that has seen `TickAck { epoch }` knows its batch

@@ -2,7 +2,7 @@
 //! pipelines epochs without waiting for acks, and survives connection loss
 //! by replaying unacknowledged frames.
 //!
-//! The sink mirrors the in-process [`crate::IngestMode::Batched`] path on
+//! The sink mirrors the in-process [`crate::Supervisor`] submit path on
 //! the wire: everything submitted between two `tick()` calls rides one
 //! `SubmitBatch` frame, sent back-to-back with the `Tick` frame in a
 //! single socket write — so one client epoch is one socket batch is one

@@ -1,10 +1,11 @@
 //! Shard workers: each shard is one OS thread owning a disjoint set of
 //! tenants, drained from a bounded MPSC command queue.
 //!
-//! Senders first `try_send`; when the queue is full they count a backpressure
-//! wait and fall back to a blocking `send` (or a deadline-bounded spin via
-//! [`ShardHandle::send_deadline`]), so producers slow down to the shard's
-//! drain rate instead of growing an unbounded buffer. Queue depth is tracked
+//! Senders `try_send`; when the queue is full they count one backpressure
+//! wait and retry with bounded backoff until a deadline
+//! ([`ShardHandle::send_deadline`]), so producers slow down to the shard's
+//! drain rate instead of growing an unbounded buffer, and a stalled worker
+//! surfaces as a typed timeout instead of a hang. Queue depth is tracked
 //! with a shared atomic (incremented on enqueue, decremented when the worker
 //! pops), which keeps the hot path lock-free.
 //!
@@ -39,26 +40,27 @@ use std::time::{Duration, Instant};
 /// Tenants are identified service-wide by an opaque integer id.
 pub type TenantId = u64;
 
+/// The shard a tenant id maps to under a given shard count.
+///
+/// Fibonacci hashing: multiply by 2^64/φ and keep the high bits, which
+/// spreads sequential ids evenly across small shard counts. Routing is a pure
+/// function of `(id, shards)`, so recovery, snapshot validation and
+/// cross-topology comparisons place tenants identically.
+pub fn shard_for(id: TenantId, shards: usize) -> usize {
+    let h = id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+    (h as usize) % shards.max(1)
+}
+
 /// Commands a shard worker understands.
 pub enum Command {
     /// Registers a new tenant at round 0.
     AddTenant {
-        /// Service-wide tenant id.
+        /// Tenant id, unique across all shards.
         id: TenantId,
         /// Instance parameters for the tenant's engine.
         spec: TenantSpec,
         /// Acknowledgement channel.
         reply: SyncSender<ServiceResult<()>>,
-    },
-    /// Buffers arrivals into a tenant's inbox for its next tick.
-    Submit {
-        /// Target tenant.
-        tenant: TenantId,
-        /// `(color, count)` pairs; counts merge per color.
-        arrivals: Vec<(ColorId, u64)>,
-        /// Epoch sequence (WAL offset + 1) published once applied;
-        /// 0 = unjournaled, nothing to publish.
-        seq: u64,
     },
     /// Group commit: every buffered submit destined for this shard within
     /// one tick epoch, applied in submission order.
@@ -70,8 +72,7 @@ pub enum Command {
     },
     /// Advances every owned tenant one round.
     Tick {
-        /// Epoch sequence (WAL offset + 1) published once applied;
-        /// 0 = unjournaled, nothing to publish.
+        /// Epoch sequence (WAL offset + 1) published once applied.
         seq: u64,
     },
     /// Captures a serializable snapshot of every owned tenant.
@@ -83,14 +84,6 @@ pub enum Command {
     Stats {
         /// Reply channel for the counters.
         reply: SyncSender<ShardStats>,
-    },
-    /// Replaces the worker's tenants with a snapshot's (in-place rollback;
-    /// the worker thread and its counters survive).
-    Restore {
-        /// The state to roll back to.
-        snapshot: ShardSnapshot,
-        /// Acknowledgement channel.
-        reply: SyncSender<ServiceResult<()>>,
     },
     /// Drains every tenant to its horizon and shuts the worker down.
     Finish {
@@ -244,19 +237,6 @@ pub struct WorkerConfig {
     pub applied_start: u64,
 }
 
-impl WorkerConfig {
-    /// A fresh worker for `shard` with the given queue capacity.
-    pub fn new(shard: usize, queue_capacity: usize) -> Self {
-        WorkerConfig {
-            shard,
-            queue_capacity,
-            inbox_watermark: None,
-            ticks_done: 0,
-            applied_start: 0,
-        }
-    }
-}
-
 /// Sender side of a shard: the command queue plus its shared gauges.
 pub struct ShardHandle {
     shard: usize,
@@ -324,26 +304,6 @@ impl ShardHandle {
             .clone()
     }
 
-    /// Enqueues a command, blocking (and counting a backpressure wait) when
-    /// the bounded queue is full.
-    pub fn send(&self, cmd: Command) -> ServiceResult<()> {
-        // Count the slot before the worker can pop it, so depth never reads
-        // negative under a fast consumer.
-        self.depth.fetch_add(1, Ordering::Relaxed);
-        let res = match self.tx.try_send(cmd) {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Full(cmd)) => {
-                self.backpressure.fetch_add(1, Ordering::Relaxed);
-                self.tx.send(cmd).map_err(|_| ())
-            }
-            Err(TrySendError::Disconnected(_)) => Err(()),
-        };
-        res.map_err(|()| {
-            self.depth.fetch_sub(1, Ordering::Relaxed);
-            ServiceError::ShardDown(self.shard)
-        })
-    }
-
     /// Enqueues a command without ever blocking past `deadline`: a full
     /// queue is retried (one counted backpressure wait) until the deadline,
     /// then reported as [`ServiceError::Timeout`] — a stalled worker cannot
@@ -378,16 +338,6 @@ impl ShardHandle {
         }
     }
 
-    /// Sends a command and waits for its reply.
-    fn round_trip<T>(
-        &self,
-        make: impl FnOnce(SyncSender<T>) -> Command,
-    ) -> ServiceResult<T> {
-        let (reply_tx, reply_rx) = sync_channel(1);
-        self.send(make(reply_tx))?;
-        reply_rx.recv().map_err(|_| ServiceError::ShardDown(self.shard))
-    }
-
     /// Sends a command and waits at most `timeout` (covering both the
     /// enqueue and the reply) for its answer. A missing reply — dead worker,
     /// stalled worker, dropped reply — becomes a typed
@@ -409,49 +359,14 @@ impl ShardHandle {
             })
     }
 
-    /// Registers a tenant and waits for the acknowledgement.
-    pub fn add_tenant(&self, id: TenantId, spec: TenantSpec) -> ServiceResult<()> {
-        self.round_trip(|reply| Command::AddTenant { id, spec, reply })?
-    }
-
-    /// Captures the shard's state.
-    pub fn snapshot(&self) -> ServiceResult<ShardSnapshot> {
-        self.round_trip(|reply| Command::Snapshot { reply })
-    }
-
-    /// Rolls the live worker back to a snapshot and waits for the
-    /// acknowledgement.
-    pub fn restore(&self, snapshot: ShardSnapshot) -> ServiceResult<()> {
-        self.round_trip(|reply| Command::Restore { snapshot, reply })?
-    }
-
-    /// Reads the shard's counters.
-    pub fn stats(&self) -> ServiceResult<ShardStats> {
-        self.round_trip(|reply| Command::Stats { reply })
-    }
-
     /// Drains every tenant without consuming the handle: the worker shuts
-    /// down after replying, bounded by `timeout`. The supervisor's retryable
-    /// flavor of [`ShardHandle::finish`].
+    /// down after replying, bounded by `timeout`, so a caller can retry
+    /// against a rebuilt worker.
     pub fn finish_timeout(
         &self,
         timeout: Duration,
     ) -> ServiceResult<Vec<(TenantId, RunResult)>> {
         self.round_trip_deadline(|reply| Command::Finish { reply }, timeout)?
-    }
-
-    /// Drains every tenant and joins the worker.
-    pub fn finish(self) -> ServiceResult<Vec<(TenantId, RunResult)>> {
-        let results = self.round_trip(|reply| Command::Finish { reply })?;
-        let _ = self.join.join();
-        results
-    }
-
-    /// Kills the worker without draining: the queue is closed and the thread
-    /// joined. Owned tenants are discarded — restore them from a snapshot.
-    pub fn kill(self) {
-        drop(self.tx);
-        let _ = self.join.join();
     }
 
     /// Drops the handle without joining the worker — for replacing a worker
@@ -465,17 +380,8 @@ impl ShardHandle {
 }
 
 /// Spawns a shard worker owning `tenants` (empty for a fresh shard, restored
-/// tenants when rebuilding a killed shard).
-pub fn spawn_shard(
-    shard: usize,
-    queue_capacity: usize,
-    tenants: BTreeMap<TenantId, Tenant>,
-) -> ServiceResult<ShardHandle> {
-    spawn_shard_with(WorkerConfig::new(shard, queue_capacity), ShardFaults::none(), tenants)
-}
-
-/// Spawns a shard worker with full control over watermarks, fault injection
-/// and the starting tick count.
+/// tenants when rebuilding a dead one), with the given watermarks, fault
+/// injection and starting tick count.
 pub fn spawn_shard_with(
     config: WorkerConfig,
     faults: Arc<ShardFaults>,
@@ -536,8 +442,8 @@ impl Worker {
                 return; // Finish processed — shut down.
             }
         }
-        // All senders dropped: the shard was killed. Owned tenants are
-        // discarded; a restore path rebuilds them from the last snapshot.
+        // All senders dropped: the worker was abandoned. Owned tenants are
+        // discarded; recovery rebuilds them from checkpoint + WAL.
     }
 
     /// Sends a reply unless a reply-drop fault eats it. A receiver that
@@ -551,14 +457,10 @@ impl Worker {
     }
 
     /// Publishes an applied epoch sequence (release-ordered, so a waiter
-    /// that observes it also observes the command's effects). `seq` 0 marks
-    /// an unjournaled command — nothing to acknowledge. An ack-drop fault
-    /// suppresses the publication: the state advanced but the supervisor
-    /// never hears, exercising the offset-join timeout path.
+    /// that observes it also observes the command's effects). An ack-drop
+    /// fault suppresses the publication: the state advanced but the
+    /// supervisor never hears, exercising the offset-join timeout path.
     fn publish(&mut self, seq: u64) {
-        if seq == 0 {
-            return;
-        }
         if self.faults.take_ack_drop(self.ticks_done) {
             self.stats.faults_injected += 1;
             return;
@@ -585,26 +487,13 @@ impl Worker {
                 }
                 self.reply(reply, res);
             }
-            Command::Submit { tenant, arrivals, seq } => {
-                self.stats.submits += 1;
-                match self.tenants.get_mut(&tenant) {
-                    // The tenant's own shed counter tracks the drop; stats
-                    // aggregate it lazily in `current_stats`.
-                    Some(t) => {
-                        if t.submit_shedding(&arrivals, self.inbox_watermark).is_err() {
-                            self.stats.command_errors += 1;
-                        }
-                    }
-                    None => self.stats.command_errors += 1,
-                }
-                self.publish(seq);
-            }
             Command::SubmitBatch { entries, seq } => {
-                // One command, N submits: counters advance per entry so the
-                // totals stay comparable with per-command ingestion.
+                // One command, N submits: `submits` counts entries.
                 self.stats.batches += 1;
                 self.stats.submits += entries.len() as u64;
                 for (tenant, arrivals) in entries {
+                    // The tenant's own shed counter tracks the drop; stats
+                    // aggregate it lazily in `current_stats`.
                     match self.tenants.get_mut(&tenant) {
                         Some(t) => {
                             if t.submit_shedding(&arrivals, self.inbox_watermark).is_err() {
@@ -664,22 +553,6 @@ impl Worker {
                 let stats = self.current_stats();
                 self.reply(reply, stats);
             }
-            Command::Restore { snapshot, reply } => {
-                let res = if snapshot.shard != self.stats.shard {
-                    Err(ServiceError::Corrupt(format!(
-                        "snapshot of shard {} sent to shard {}",
-                        snapshot.shard, self.stats.shard
-                    )))
-                } else {
-                    restore_tenants(snapshot).map(|tenants| {
-                        self.tenants = tenants;
-                    })
-                };
-                if res.is_err() {
-                    self.stats.command_errors += 1;
-                }
-                self.reply(reply, res);
-            }
             Command::Finish { reply } => {
                 let tenants = std::mem::take(&mut self.tenants);
                 let mut results = Vec::with_capacity(tenants.len());
@@ -718,7 +591,7 @@ impl Worker {
 }
 
 /// Rebuilds the tenants of a [`ShardSnapshot`] (replay + verification per
-/// tenant), ready to hand to [`spawn_shard`].
+/// tenant), ready to hand to [`spawn_shard_with`].
 pub fn restore_tenants(
     snapshot: ShardSnapshot,
 ) -> ServiceResult<BTreeMap<TenantId, Tenant>> {
@@ -768,23 +641,59 @@ mod tests {
         );
     }
 
+    /// Every reply wait in these tests is bounded; a healthy worker answers
+    /// in microseconds.
+    const T: Duration = Duration::from_secs(5);
+
+    fn worker(shard: usize) -> WorkerConfig {
+        WorkerConfig {
+            shard,
+            queue_capacity: 4,
+            inbox_watermark: None,
+            ticks_done: 0,
+            applied_start: 0,
+        }
+    }
+
+    fn spawn(shard: usize, faults: Arc<ShardFaults>) -> ShardHandle {
+        spawn_shard_with(worker(shard), faults, BTreeMap::new()).unwrap()
+    }
+
+    fn send(h: &ShardHandle, cmd: Command) -> ServiceResult<()> {
+        h.send_deadline(cmd, Instant::now() + T)
+    }
+
+    fn add_tenant(h: &ShardHandle, id: TenantId) -> ServiceResult<()> {
+        h.round_trip_deadline(|reply| Command::AddTenant { id, spec: spec(), reply }, T)?
+    }
+
+    fn snapshot(h: &ShardHandle) -> ShardSnapshot {
+        h.round_trip_deadline(|reply| Command::Snapshot { reply }, T).unwrap()
+    }
+
+    fn wait_until_finished(h: &ShardHandle) {
+        while !h.is_finished() {
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn worker_processes_commands_and_finishes() {
-        let h = spawn_shard(0, 4, BTreeMap::new()).unwrap();
-        h.add_tenant(7, spec()).unwrap();
-        assert!(matches!(
-            h.add_tenant(7, spec()),
-            Err(ServiceError::DuplicateTenant(7))
-        ));
-        h.send(Command::Submit { tenant: 7, arrivals: vec![(ColorId(0), 3)], seq: 0 }).unwrap();
-        h.send(Command::Tick { seq: 0 }).unwrap();
-        let snap = h.snapshot().unwrap();
+        let h = spawn(0, ShardFaults::none());
+        add_tenant(&h, 7).unwrap();
+        assert!(matches!(add_tenant(&h, 7), Err(ServiceError::DuplicateTenant(7))));
+        let entries = vec![(7, vec![(ColorId(0), 2)]), (7, vec![(ColorId(0), 1)])];
+        send(&h, Command::SubmitBatch { entries, seq: 1 }).unwrap();
+        send(&h, Command::Tick { seq: 2 }).unwrap();
+        h.wait_applied(2, Instant::now() + T).unwrap();
+        assert_eq!(h.applied(), 2);
+        let snap = snapshot(&h);
         assert_eq!(snap.tenants.len(), 1);
         assert!(snap.conserves_jobs());
-        let stats = h.stats().unwrap();
+        let stats = h.round_trip_deadline(|reply| Command::Stats { reply }, T).unwrap();
         assert_eq!(stats.ticks, 1);
-        assert_eq!(stats.submits, 1);
-        let results = h.finish().unwrap();
+        assert_eq!((stats.batches, stats.submits), (1, 2), "submits count batch entries");
+        let results = h.finish_timeout(T).unwrap();
         assert_eq!(results.len(), 1);
         let r = &results[0].1;
         assert_eq!(r.executed + r.dropped_jobs, 3);
@@ -792,73 +701,61 @@ mod tests {
 
     #[test]
     fn kill_then_restore_continues_from_snapshot() {
-        let h = spawn_shard(1, 4, BTreeMap::new()).unwrap();
-        h.add_tenant(1, spec()).unwrap();
-        for _ in 0..5 {
-            h.send(Command::Submit { tenant: 1, arrivals: vec![(ColorId(1), 2)], seq: 0 }).unwrap();
-            h.send(Command::Tick { seq: 0 }).unwrap();
+        let h = spawn(1, ShardFaults::none());
+        add_tenant(&h, 1).unwrap();
+        for round in 0..5u64 {
+            let entries = vec![(1, vec![(ColorId(1), 2)])];
+            send(&h, Command::SubmitBatch { entries, seq: 2 * round + 1 }).unwrap();
+            send(&h, Command::Tick { seq: 2 * round + 2 }).unwrap();
         }
-        let snap = h.snapshot().unwrap();
-        h.kill();
+        let snap = snapshot(&h);
+        h.abandon();
         let rebuilt = restore_tenants(snap.clone()).unwrap();
-        let h2 = spawn_shard(1, 4, rebuilt).unwrap();
-        let snap2 = h2.snapshot().unwrap();
-        assert_eq!(snap2, snap, "restored shard state is bit-identical");
-        let results = h2.finish().unwrap();
+        let h2 = spawn_shard_with(worker(1), ShardFaults::none(), rebuilt).unwrap();
+        assert_eq!(snapshot(&h2), snap, "restored shard state is bit-identical");
+        let results = h2.finish_timeout(T).unwrap();
         assert_eq!(results[0].1.executed + results[0].1.dropped_jobs, 10);
     }
 
     #[test]
     fn send_to_dead_shard_reports_shard_down() {
-        let h = spawn_shard(2, 4, BTreeMap::new()).unwrap();
-        let (reply_tx, reply_rx) = sync_channel(1);
-        h.send(Command::Finish { reply: reply_tx }).unwrap();
-        reply_rx.recv().unwrap().unwrap();
+        let h = spawn(2, ShardFaults::none());
+        h.finish_timeout(T).unwrap();
         // Wait for the worker to actually exit so the queue is closed.
-        while !h.is_finished() {
-            std::thread::yield_now();
-        }
-        assert!(matches!(h.send(Command::Tick { seq: 0 }), Err(ServiceError::ShardDown(2))));
+        wait_until_finished(&h);
+        assert!(matches!(send(&h, Command::Tick { seq: 1 }), Err(ServiceError::ShardDown(2))));
         assert!(h.panic_message().is_none());
     }
 
     #[test]
     fn injected_panic_is_captured_not_propagated() {
-        use crate::faults::{Fault, FaultKind, ShardFaults};
+        use crate::faults::{Fault, FaultKind};
         let faults = Arc::new(ShardFaults::new(vec![Fault {
             shard: 3,
             at_tick: 2,
             kind: FaultKind::Panic,
         }]));
-        let h = spawn_shard_with(
-            WorkerConfig::new(3, 4),
-            Arc::clone(&faults),
-            BTreeMap::new(),
-        )
-        .unwrap();
-        h.add_tenant(1, spec()).unwrap();
-        h.send(Command::Tick { seq: 0 }).unwrap();
-        h.send(Command::Tick { seq: 0 }).unwrap(); // fault arms at tick 2
-        while !h.is_finished() {
-            std::thread::yield_now();
-        }
+        let h = spawn(3, Arc::clone(&faults));
+        add_tenant(&h, 1).unwrap();
+        send(&h, Command::Tick { seq: 1 }).unwrap();
+        send(&h, Command::Tick { seq: 2 }).unwrap(); // fault arms at tick 2
+        wait_until_finished(&h);
         assert_eq!(faults.injected(), 1);
         let msg = h.panic_message().expect("panic captured");
         assert!(msg.contains("injected fault"), "unexpected message: {msg}");
-        assert!(matches!(h.send(Command::Tick { seq: 0 }), Err(ServiceError::ShardDown(3))));
+        assert!(matches!(send(&h, Command::Tick { seq: 3 }), Err(ServiceError::ShardDown(3))));
     }
 
     #[test]
     fn round_trip_deadline_times_out_on_stall() {
-        use crate::faults::{Fault, FaultKind, ShardFaults};
+        use crate::faults::{Fault, FaultKind};
         let faults = Arc::new(ShardFaults::new(vec![Fault {
             shard: 4,
             at_tick: 1,
             kind: FaultKind::Stall { millis: 200 },
         }]));
-        let h =
-            spawn_shard_with(WorkerConfig::new(4, 4), faults, BTreeMap::new()).unwrap();
-        h.send(Command::Tick { seq: 0 }).unwrap();
+        let h = spawn(4, faults);
+        send(&h, Command::Tick { seq: 1 }).unwrap();
         let started = Instant::now();
         let res: ServiceResult<ShardSnapshot> = h
             .round_trip_deadline(|reply| Command::Snapshot { reply }, Duration::from_millis(30));
@@ -869,10 +766,8 @@ mod tests {
 
     #[test]
     fn snapshot_validation_catches_structural_corruption() {
-        let h = spawn_shard(0, 4, BTreeMap::new()).unwrap();
-        h.add_tenant(2, spec()).unwrap();
-        let snap = h.snapshot().unwrap();
-        h.kill();
+        let tenant = Tenant::new(spec()).unwrap().snapshot();
+        let snap = ShardSnapshot { shard: 0, tenants: vec![(2, tenant)] };
 
         assert!(snap.validate(1, |_| 0).is_ok());
         assert!(matches!(snap.validate(0, |_| 0), Err(ServiceError::UnknownShard(0))));
@@ -892,5 +787,20 @@ mod tests {
         let mut lossy = snap;
         lossy.tenants[0].1.engine.result.executed += 1;
         assert!(matches!(lossy.validate(1, |_| 0), Err(ServiceError::Corrupt(_))));
+    }
+
+    #[test]
+    fn routing_is_a_pure_function_of_id_and_shard_count() {
+        for shards in [1usize, 2, 3, 8] {
+            let mut hit = vec![false; shards];
+            for id in 0..64u64 {
+                let s = shard_for(id, shards);
+                assert!(s < shards);
+                assert_eq!(s, shard_for(id, shards));
+                hit[s] = true;
+            }
+            assert!(hit.iter().all(|&h| h), "{shards} shards: some shard owns no tenant");
+        }
+        assert_eq!(shard_for(5, 0), 0, "a zero shard count clamps to one shard");
     }
 }

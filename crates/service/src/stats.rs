@@ -1,4 +1,4 @@
-//! Service observability: per-shard and per-tenant counters plus a cheap
+//! Observability: per-shard and per-tenant counters plus a cheap
 //! fixed-size latency histogram for step latencies.
 
 use crate::tenant::TenantProgress;
@@ -111,10 +111,10 @@ pub struct ShardStats {
     pub tenants: usize,
     /// Commands processed (all kinds).
     pub commands: u64,
-    /// Submit operations processed. A batched command counts once per
-    /// coalesced entry, so the counter is comparable across ingest modes.
+    /// Submit operations processed: a `SubmitBatch` command counts once per
+    /// coalesced entry.
     pub submits: u64,
-    /// `SubmitBatch` commands processed (0 under per-command ingestion).
+    /// `SubmitBatch` commands processed (at most one per tick epoch).
     pub batches: u64,
     /// Tick commands processed (each advances every owned tenant one round).
     pub ticks: u64,
@@ -129,15 +129,15 @@ pub struct ShardStats {
     pub reconfig_cost: u64,
     /// Commands sitting in the shard's queue when the stats were taken.
     pub queue_depth: usize,
-    /// Times a sender found the bounded queue full and had to block.
+    /// Times a sender found the bounded queue full and had to wait.
     pub backpressure_waits: u64,
     /// Commands that failed inside the worker (unknown tenant, engine error).
     pub command_errors: u64,
     /// Faults fired inside this worker (injected panics, stalls, dropped
     /// replies, corrupted snapshots). Worker-lifetime, reset on respawn.
     pub faults_injected: u64,
-    /// Times a supervisor rebuilt this shard from checkpoint + WAL (filled
-    /// in by the supervisor; a bare [`crate::Service`] reports 0).
+    /// Times the supervisor rebuilt this shard from checkpoint + WAL (filled
+    /// in by the supervisor; the worker itself reports 0).
     pub recoveries: u64,
     /// Times this shard's circuit breaker tripped open on a restart storm
     /// (filled in by the supervisor; 0 unless a breaker is installed).
@@ -178,8 +178,8 @@ pub struct ServiceStats {
     pub shards: Vec<ShardStats>,
     /// Per-tenant progress, in ascending tenant order.
     pub tenants: Vec<(u64, TenantProgress)>,
-    /// Storage-tier counters (group commits, fsyncs, cache hit/miss/evict;
-    /// all zeros for memory-backed and bare services).
+    /// Storage-tier counters (group commits, fsyncs, retries, heals; all
+    /// zeros for the memory backend).
     pub storage: crate::storage::StorageStats,
 }
 
@@ -205,7 +205,7 @@ impl ServiceStats {
         self.shards.iter().map(|s| s.recoveries).sum()
     }
 
-    /// Service-wide step-latency histogram (merged over shards).
+    /// Step-latency histogram merged over all shards.
     pub fn step_latency(&self) -> LatencyHistogramNs {
         let mut h = LatencyHistogramNs::new();
         for s in &self.shards {

@@ -27,7 +27,7 @@
 //! segments in offset order, stopping at the first torn or corrupt frame:
 //! the torn tail is truncated away, later segments (unreachable once the
 //! offset chain breaks) are deleted, and the surviving prefix becomes the
-//! in-memory mirror. All reads go through the shared [`FileCache`].
+//! in-memory mirror. Each file is read once, with a plain `fs::read`.
 //!
 //! ## Self-healing
 //!
@@ -68,7 +68,6 @@
 //! The IO-fault kinds above instead exercise the self-healing paths and
 //! must lose nothing.
 
-use super::cache::FileCache;
 use super::frame::{self, FrameError};
 use super::memory::RETAINED;
 use super::{ShardStore, StorageBackend, StorageStats};
@@ -95,8 +94,6 @@ pub struct DiskConfig {
     /// Rotate to a new segment file once the current one reaches this many
     /// bytes (checked after each commit).
     pub max_segment_bytes: u64,
-    /// Byte budget for the shared segment/checkpoint read cache.
-    pub cache_bytes: u64,
     /// Write attempts per group commit (including the first) before a
     /// transient IO failure degrades the store to memory-mirror mode.
     pub io_retries: u32,
@@ -116,14 +113,13 @@ pub struct DiskConfig {
 }
 
 impl DiskConfig {
-    /// Defaults (fsync on and pipelined, 256 KiB segments, 8 MiB cache,
-    /// 4 write attempts with 500 µs base backoff) rooted at `root`.
+    /// Defaults (fsync on and pipelined, 256 KiB segments, 4 write attempts
+    /// with 500 µs base backoff) rooted at `root`.
     pub fn new(root: impl Into<PathBuf>) -> Self {
         DiskConfig {
             root: root.into(),
             fsync: true,
             max_segment_bytes: 256 * 1024,
-            cache_bytes: 8 * 1024 * 1024,
             io_retries: 4,
             io_backoff: Duration::from_micros(500),
             pipeline_fsync: true,
@@ -231,7 +227,6 @@ impl SyncState {
 #[derive(Debug)]
 pub struct DiskBackend {
     config: DiskConfig,
-    cache: Arc<FileCache>,
     counters: Arc<Counters>,
     /// Submission side of the background fsync thread (None ⇒ fsyncs run
     /// inline). The thread drains the channel and exits once every sender —
@@ -242,7 +237,6 @@ pub struct DiskBackend {
 impl DiskBackend {
     /// A disk backend over `config.root` (created on first shard open).
     pub fn new(config: DiskConfig) -> Self {
-        let cache = Arc::new(FileCache::new(config.cache_bytes));
         let pipe = if config.fsync && config.pipeline_fsync {
             let (tx, rx) = mpsc::channel::<FsyncJob>();
             std::thread::Builder::new()
@@ -259,12 +253,7 @@ impl DiskBackend {
         } else {
             None
         };
-        DiskBackend { config, cache, counters: Arc::new(Counters::default()), pipe }
-    }
-
-    /// The shared read cache (exposed for cache-behavior tests).
-    pub fn cache(&self) -> &Arc<FileCache> {
-        &self.cache
+        DiskBackend { config, counters: Arc::new(Counters::default()), pipe }
     }
 }
 
@@ -283,7 +272,6 @@ impl StorageBackend for DiskBackend {
             shard,
             dir,
             self.config.clone(),
-            Arc::clone(&self.cache),
             Arc::clone(&self.counters),
             faults,
             self.pipe.clone(),
@@ -312,7 +300,6 @@ impl StorageBackend for DiskBackend {
             heal_events: c.heal_events.load(Ordering::Relaxed),
             wal_segments_reclaimed: c.wal_segments_reclaimed.load(Ordering::Relaxed),
             wal_bytes_reclaimed: c.wal_bytes_reclaimed.load(Ordering::Relaxed),
-            cache: self.cache.stats(),
         }
     }
 }
@@ -334,7 +321,6 @@ struct DiskStore {
     shard: usize,
     dir: PathBuf,
     config: DiskConfig,
-    cache: Arc<FileCache>,
     counters: Arc<Counters>,
     faults: Arc<ShardFaults>,
     /// In-memory mirror of the retained log: worker-death recovery replays
@@ -415,7 +401,6 @@ impl DiskStore {
         shard: usize,
         dir: PathBuf,
         config: DiskConfig,
-        cache: Arc<FileCache>,
         counters: Arc<Counters>,
         faults: Arc<ShardFaults>,
         pipe: Option<Sender<FsyncJob>>,
@@ -425,7 +410,6 @@ impl DiskStore {
             shard,
             dir,
             config,
-            cache,
             counters,
             faults,
             mirror: Wal::new(),
@@ -602,11 +586,9 @@ impl DiskStore {
         self.dir.join(format!("ck-{offset}.ck"))
     }
 
-    /// Reads a whole file through the shared cache.
-    fn read_file(&self, path: &Path) -> ServiceResult<Arc<Vec<u8>>> {
-        self.cache.get_or_load(path, || {
-            fs::read(path).map_err(|e| io_err("read", path, e))
-        })
+    /// Reads a whole file.
+    fn read_file(&self, path: &Path) -> ServiceResult<Vec<u8>> {
+        fs::read(path).map_err(|e| io_err("read", path, e))
     }
 
     fn read_checkpoint(&self, path: &Path) -> ServiceResult<Checkpoint> {
@@ -624,7 +606,6 @@ impl DiskStore {
 
     fn remove_file(&self, path: &Path) {
         let _ = fs::remove_file(path);
-        self.cache.invalidate(path);
     }
 
     fn truncate_file(&self, path: &Path, len: u64) -> ServiceResult<()> {
@@ -636,7 +617,6 @@ impl DiskStore {
         if self.config.fsync {
             f.sync_data().map_err(|e| io_err("fsync", path, e))?;
         }
-        self.cache.invalidate(path);
         Ok(())
     }
 
@@ -662,7 +642,6 @@ impl DiskStore {
             let _ = writeln!(manifest, "{name}\t{reason}");
         }
         self.counters.quarantines.fetch_add(1, Ordering::Relaxed);
-        self.cache.invalidate(path);
     }
 
     /// Drops to degraded memory-mirror mode: the disk is failing, the live
@@ -702,7 +681,6 @@ impl DiskStore {
         if self.config.fsync {
             file.sync_data().map_err(|e| classify("fsync tail", self.shard, &e))?;
         }
-        self.cache.invalidate(&meta.path);
         self.dirty_tail = false;
         Ok(())
     }
@@ -797,7 +775,6 @@ impl DiskStore {
                 .truncate(true)
                 .open(&path)
                 .map_err(|e| classify("segment create", self.shard, &e))?;
-            self.cache.invalidate(&path);
             self.segments.push(SegmentMeta { start, records: 0, bytes: 0, path });
             self.counters.segments_created.fetch_add(1, Ordering::Relaxed);
             self.writer = Some(file);
@@ -837,7 +814,6 @@ impl DiskStore {
         };
         meta.records += records;
         meta.bytes += bytes.len() as u64;
-        self.cache.invalidate(&meta.path.clone());
         if meta.bytes >= self.config.max_segment_bytes {
             self.writer = None; // rotate: next commit starts a new segment
         }
@@ -921,7 +897,6 @@ impl DiskStore {
         }
         drop(file);
         fs::rename(&tmp, &path).map_err(|e| classify("checkpoint rename", self.shard, &e))?;
-        self.cache.invalidate(&path);
         self.counters.checkpoints_written.fetch_add(1, Ordering::Relaxed);
         self.counters.bytes_written.fetch_add(bytes.len() as u64, Ordering::Relaxed);
         Ok(())
@@ -1515,30 +1490,6 @@ mod tests {
         let mut backend2 = DiskBackend::new(cfg);
         let store2 = open_store(&mut backend2, 0);
         assert_eq!(store2.end(), 5, "every pipelined epoch is durable after the barrier");
-        let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn reopen_hits_the_cache() {
-        let root = temp_root("cache");
-        let mut cfg = DiskConfig::new(&root);
-        cfg.fsync = false;
-        let backend_cfg = cfg.clone();
-        {
-            let mut backend = DiskBackend::new(cfg);
-            let mut store = open_store(&mut backend, 0);
-            for _ in 0..3 {
-                store.append(&WalRecord::Tick).unwrap();
-            }
-            store.commit().unwrap();
-        }
-        let mut backend = DiskBackend::new(backend_cfg);
-        let _first = open_store(&mut backend, 0);
-        let misses_after_first = backend.stats().cache.misses;
-        let _second = open_store(&mut backend, 0);
-        let s = backend.stats();
-        assert!(s.cache.hits >= 1, "second open reuses cached segment bytes");
-        assert_eq!(s.cache.misses, misses_after_first, "no new loads");
         let _ = fs::remove_dir_all(&root);
     }
 }

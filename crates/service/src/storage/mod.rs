@@ -27,12 +27,10 @@
 //! (`AddTenant`) commits immediately because its acknowledgement
 //! externalizes the result.
 
-mod cache;
 mod disk;
 pub mod frame;
 mod memory;
 
-pub use cache::{CacheStats, FileCache};
 pub use disk::{DiskBackend, DiskConfig};
 pub use memory::MemoryBackend;
 
@@ -118,8 +116,7 @@ pub trait StorageBackend: Send {
 /// [`crate::ServiceStats::storage`].
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct StorageStats {
-    /// Backend name (`"memory"` for the in-memory tier and for bare
-    /// services, which have no storage tier at all).
+    /// Backend name (`"memory"` or `"disk"`).
     pub backend: String,
     /// Group commits that wrote at least one staged record.
     pub commits: u64,
@@ -169,8 +166,6 @@ pub struct StorageStats {
     /// Bytes of WAL deleted with those reclaimed segments.
     #[serde(default)]
     pub wal_bytes_reclaimed: u64,
-    /// File-cache behavior (disk backend only).
-    pub cache: CacheStats,
 }
 
 impl fmt::Display for StorageStats {
@@ -179,7 +174,7 @@ impl fmt::Display for StorageStats {
             f,
             "storage[{}]: {} commits, {} fsyncs, {} bytes ({} payload), \
              {} segments (-{} gc'd, {} B), {} ckpts (+{} pruned), \
-             heal {}r/{}q/{}d/{}h, cache {}h/{}m/{}c/{}e",
+             heal {}r/{}q/{}d/{}h",
             self.backend,
             self.commits,
             self.fsyncs,
@@ -194,10 +189,6 @@ impl fmt::Display for StorageStats {
             self.quarantines,
             self.degraded_commits,
             self.heal_events,
-            self.cache.hits,
-            self.cache.misses,
-            self.cache.coalesced,
-            self.cache.evictions,
         )
     }
 }

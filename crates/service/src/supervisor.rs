@@ -1,16 +1,16 @@
 //! Automatic shard supervision: checkpoint + WAL recovery, fault detection,
 //! bounded retries, and overload shedding.
 //!
-//! A [`Supervisor`] owns its shard workers the way [`crate::Service`] does,
-//! but journals every state-changing command into a per-shard [`Wal`] before
-//! enqueueing it and takes periodic validated [`Checkpoint`]s. When a worker
-//! dies (panic captured by the worker's `catch_unwind`, detected through
-//! join-handle monitoring, send failures or reply deadlines) the supervisor
-//! rebuilds the shard automatically: restore the newest checkpoint
-//! (replay-verified), re-apply the WAL suffix, respawn the worker —
-//! bit-identical to a run that never failed, because every policy is
-//! deterministic and the WAL holds every command, including those lost in
-//! the dead worker's queue.
+//! A [`Supervisor`] owns the shard workers, routes tenants to them by
+//! [`shard_for`], journals every state-changing command into a per-shard
+//! [`Wal`] before enqueueing it and takes periodic validated
+//! [`Checkpoint`]s. When a worker dies (panic captured by the worker's
+//! `catch_unwind`, detected through join-handle monitoring, send failures
+//! or reply deadlines) the supervisor rebuilds the shard automatically:
+//! restore the newest checkpoint (replay-verified), re-apply the WAL
+//! suffix, respawn the worker — bit-identical to a run that never failed,
+//! because every policy is deterministic and the WAL holds every command,
+//! including those lost in the dead worker's queue.
 //!
 //! Overload degrades gracefully instead of stalling: a full shard queue past
 //! [`ShedConfig::queue_watermark`] or a tenant inbox past
@@ -25,9 +25,8 @@
 
 use crate::error::{ServiceError, ServiceResult};
 use crate::faults::{self, FaultPlan, ShardFaults};
-use crate::service::shard_for;
 use crate::shard::{
-    restore_tenants, spawn_shard_with, Command, ShardHandle, ShardSnapshot, TenantId,
+    restore_tenants, shard_for, spawn_shard_with, Command, ShardHandle, ShardSnapshot, TenantId,
     WorkerConfig,
 };
 use crate::stats::ServiceStats;
@@ -135,11 +134,13 @@ pub struct ShedConfig {
 }
 
 /// How submits travel from the supervisor to the shard workers.
+///
+/// There is one transport, so this enum has one variant. It stays as a
+/// type only because the end-to-end benchmark (`crates/bench/e2e`) writes
+/// `ingest: IngestMode::Batched`; the field and the enum go together once
+/// that benchmark may change.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum IngestMode {
-    /// Every submit is journaled and enqueued as its own command (the
-    /// pre-batching path, kept as the conformance oracle).
-    PerCommand,
     /// Submits buffer supervisor-side per shard and ride into the worker as
     /// one [`Command::SubmitBatch`] per tick epoch: one WAL group commit
     /// and one enqueue instead of `N`, acknowledged by epoch sequence.
@@ -163,7 +164,8 @@ pub struct SupervisorConfig {
     pub retry: RetryPolicy,
     /// Overload shedding watermarks.
     pub shed: ShedConfig,
-    /// Submit transport (batched group commit vs one command per submit).
+    /// Submit transport (see [`IngestMode`]; batched group commit is the
+    /// only one).
     pub ingest: IngestMode,
 }
 
@@ -201,9 +203,9 @@ struct Seat {
     /// Tick records journaled over the shard's lifetime (including ticks
     /// recovered from a previous process under the disk backend).
     ticks: u64,
-    /// Batched-mode submit buffer for the current tick epoch, in submission
-    /// order (a tenant may appear more than once; order is what makes
-    /// mid-batch shedding replay bit-identically).
+    /// Submit buffer for the current tick epoch, in submission order (a
+    /// tenant may appear more than once; order is what makes mid-batch
+    /// shedding replay bit-identically).
     pending: Vec<(TenantId, Vec<(ColorId, u64)>)>,
     recoveries: u64,
     checkpoints_rejected: u64,
@@ -219,8 +221,8 @@ struct Seat {
 }
 
 /// A sharded multi-tenant scheduler service that survives worker death,
-/// stalls and overload automatically. Same tenant routing as
-/// [`crate::Service`] (`hash(tenant id) % shards`).
+/// stalls and overload automatically. Tenants route by [`shard_for`]
+/// (`hash(tenant id) % shards`).
 pub struct Supervisor {
     config: SupervisorConfig,
     seats: Vec<Seat>,
@@ -515,10 +517,9 @@ impl Supervisor {
     /// Per-shard WAL frontiers: entry `i` is one past the offset of the
     /// last record staged on shard `i`'s store — the epoch sequence
     /// (`seq = offset + 1`) that shard's tick acknowledgement carries.
-    /// After [`Supervisor::tick`] returns under batched ingestion the
-    /// frontier is both durable (group commit + ack barrier) and applied
-    /// (epoch join), which is what makes it the wire-level ack for the
-    /// network server.
+    /// After [`Supervisor::tick`] returns the frontier is both durable
+    /// (group commit + ack barrier) and applied (epoch join), which is what
+    /// makes it the wire-level ack for the network server.
     pub fn wal_ends(&self) -> Vec<u64> {
         self.seats.iter().map(|seat| seat.store.end()).collect()
     }
@@ -578,12 +579,10 @@ impl Supervisor {
     /// Buffers arrivals for a tenant's next tick, shedding instead of
     /// blocking when the shard queue is past the watermark.
     ///
-    /// Under [`IngestMode::Batched`] the arrivals park in the shard's seat
-    /// until the next flush point (tick, checkpoint, snapshot, stats or
-    /// finish), where the whole epoch is journaled as one
-    /// [`WalRecord::SubmitBatch`] group commit and enqueued as a single
-    /// command. Under [`IngestMode::PerCommand`] each submit is journaled
-    /// and enqueued on its own, exactly as before batching.
+    /// The arrivals park in the shard's seat until the next flush point
+    /// (tick, checkpoint, snapshot, stats or finish), where the whole epoch
+    /// is journaled as one [`WalRecord::SubmitBatch`] group commit and
+    /// enqueued as a single command.
     pub fn submit(&mut self, id: TenantId, arrivals: Vec<(ColorId, u64)>) -> ServiceResult<()> {
         let &shard = self.tenants.get(&id).ok_or(ServiceError::UnknownTenant(id))?;
         let jobs: u64 = arrivals.iter().map(|&(_, k)| k).sum();
@@ -602,26 +601,8 @@ impl Supervisor {
                 return Ok(());
             }
         }
-        if self.config.ingest == IngestMode::Batched {
-            self.seats[shard].pending.push((id, arrivals));
-            return Ok(());
-        }
-        self.seats[shard]
-            .store
-            .append(&WalRecord::Submit { tenant: id, arrivals: arrivals.clone() })?;
-        self.seats[shard].store.commit()?;
-        let deadline = Instant::now() + self.config.retry.op_timeout;
-        match self.seats[shard]
-            .handle
-            .send_deadline(Command::Submit { tenant: id, arrivals, seq: 0 }, deadline)
-        {
-            Ok(()) => Ok(()),
-            // Journaled: the rebuilt shard replays this submit.
-            Err(ServiceError::Timeout(_)) | Err(ServiceError::ShardDown(_)) => {
-                self.recover(shard, "submit did not enqueue")
-            }
-            Err(e) => Err(e),
-        }
+        self.seats[shard].pending.push((id, arrivals));
+        Ok(())
     }
 
     /// Journals a shard's buffered submits as one [`WalRecord::SubmitBatch`]
@@ -669,54 +650,14 @@ impl Supervisor {
     /// Advances every tenant on every shard one round, checkpointing on the
     /// configured cadence.
     ///
-    /// Under [`IngestMode::Batched`] the tick **fans out**: every shard
-    /// first gets its buffered submit batch and a journaled `Tick` epoch
-    /// (phase 1), so all shards execute their rounds concurrently; the
-    /// supervisor then joins on each shard's applied WAL offset (phase 2)
-    /// and finally takes any due checkpoints (phase 3). A shard that fails
-    /// to enqueue or to acknowledge its epoch is rebuilt from checkpoint +
-    /// WAL — the journaled records replay, so the epoch applies either way.
+    /// The tick **fans out**: every shard first gets its buffered submit
+    /// batch and a journaled `Tick` epoch (phase 1), so all shards execute
+    /// their rounds concurrently; the supervisor then joins on each shard's
+    /// applied WAL offset (phase 2) and finally takes any due checkpoints
+    /// (phase 3). A shard that fails to enqueue or to acknowledge its epoch
+    /// is rebuilt from checkpoint + WAL — the journaled records replay, so
+    /// the epoch applies either way.
     pub fn tick(&mut self) -> ServiceResult<()> {
-        if self.config.ingest == IngestMode::Batched {
-            return self.tick_batched();
-        }
-        self.clock += 1;
-        for shard in 0..self.seats.len() {
-            self.breaker_step(shard)?;
-            if self.breaker_open(shard) {
-                self.shed_pending(shard);
-                continue;
-            }
-            // Join-handle monitoring: catch a silently dead worker before
-            // wasting the queue deadline on it.
-            if self.seats[shard].handle.is_finished() {
-                self.recover(shard, "worker found dead before tick")?;
-                if self.breaker_open(shard) {
-                    continue;
-                }
-            }
-            self.seats[shard].store.append(&WalRecord::Tick)?;
-            self.seats[shard].store.commit()?;
-            self.seats[shard].ticks += 1;
-            let deadline = Instant::now() + self.config.retry.op_timeout;
-            match self.seats[shard].handle.send_deadline(Command::Tick { seq: 0 }, deadline) {
-                Ok(()) => self.breaker_note_healthy(shard),
-                Err(ServiceError::Timeout(_)) | Err(ServiceError::ShardDown(_)) => {
-                    self.recover(shard, "tick did not enqueue")?;
-                    continue; // the replay applied this tick; skip checkpoint
-                }
-                Err(e) => return Err(e),
-            }
-            let every = self.config.checkpoint_every;
-            if every > 0 && self.seats[shard].ticks.is_multiple_of(every) {
-                self.checkpoint(shard)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// The batched tick epoch: broadcast, join, checkpoint.
-    fn tick_batched(&mut self) -> ServiceResult<()> {
         self.clock += 1;
         // Phase 1 — broadcast: journal each shard's submit batch *and* its
         // tick, start making both durable with ONE pipelined group commit
@@ -1052,7 +993,7 @@ mod tests {
                 backoff: Duration::from_millis(1),
             },
             shed: ShedConfig::default(),
-            ingest: IngestMode::default(),
+            ..SupervisorConfig::default()
         }
     }
 

@@ -1,8 +1,8 @@
 //! Per-shard write-ahead log and checkpoints.
 //!
 //! The supervisor is the only sender into a shard's command queue, so it can
-//! journal every state-changing command (`AddTenant`, `Submit`,
-//! `SubmitBatch`, `Tick`) **before** enqueueing it. Recovery is then pure replay: rebuild the
+//! journal every state-changing command (`AddTenant`, `SubmitBatch`, `Tick`)
+//! **before** enqueueing it. Recovery is then pure replay: rebuild the
 //! tenants from the newest validated checkpoint (itself replay-verified by
 //! [`crate::restore_tenants`]) and apply the WAL suffix past the
 //! checkpoint's offset with exactly the worker's own semantics — same
@@ -26,12 +26,15 @@ use std::collections::{BTreeMap, VecDeque};
 pub enum WalRecord {
     /// A tenant registration.
     AddTenant {
-        /// Service-wide tenant id.
+        /// Tenant id, unique across all shards.
         id: TenantId,
         /// The tenant's instance parameters.
         spec: TenantSpec,
     },
-    /// Buffered arrivals for one tenant.
+    /// Buffered arrivals for one tenant. The supervisor no longer writes
+    /// this record (every submit rides in a `SubmitBatch`), but data
+    /// directories journaled by earlier per-submit ingestion still hold it,
+    /// so replay keeps applying it and those directories still cold-start.
     Submit {
         /// Target tenant.
         tenant: TenantId,

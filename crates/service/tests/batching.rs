@@ -1,21 +1,21 @@
-//! Batched ≡ per-command ingestion conformance.
+//! Batched ingestion ≡ lone-tenant replay.
 //!
-//! [`IngestMode::Batched`] coalesces every submit bound for a shard within
-//! one tick epoch into a single WAL group commit and a single
+//! The supervisor coalesces every submit bound for a shard within one tick
+//! epoch into a single WAL group commit and a single
 //! [`rrs_service::Command::SubmitBatch`], and fans ticks out to all shards
 //! before joining on epoch acknowledgements. None of that may change *what*
 //! the service computes: for every policy, the final per-tenant
-//! [`RunResult`]s and the deterministic parts of [`rrs_service::ServiceStats`]
-//! must be bit-identical to the per-command oracle — including when inbox
-//! shedding strikes mid-batch, when workers are killed between group commits
-//! (WAL replay must reproduce each batch's per-entry shedding decisions),
-//! and when a worker applies a tick but never acknowledges its epoch
-//! ([`FaultKind::DropAck`]).
+//! [`RunResult`]s and the per-tenant progress in [`ServiceStats`] must be
+//! bit-identical to each tenant's arrivals fed through a lone [`Tenant`] —
+//! including when inbox shedding strikes mid-batch, when workers are killed
+//! between group commits (WAL replay must reproduce each batch's per-entry
+//! shedding decisions), and when a worker applies a tick but never
+//! acknowledges its epoch ([`FaultKind::DropAck`]).
 
 use rrs_core::{ColorId, ColorTable, RunResult};
 use rrs_service::{
-    Fault, FaultKind, FaultPlan, IngestMode, PolicySpec, RetryPolicy, ServiceStats, ShedConfig,
-    Supervisor, SupervisorConfig, TenantSpec,
+    shard_for, Fault, FaultKind, FaultPlan, PolicySpec, RetryPolicy, ServiceStats, ShedConfig,
+    Supervisor, SupervisorConfig, Tenant, TenantProgress, TenantSpec,
 };
 use std::collections::BTreeMap;
 use std::sync::Once;
@@ -81,7 +81,7 @@ fn arrivals(tenant: u64, round: u64, part: u64) -> Vec<(ColorId, u64)> {
     out
 }
 
-fn quick_config(shards: usize, ingest: IngestMode) -> SupervisorConfig {
+fn quick_config(shards: usize) -> SupervisorConfig {
     SupervisorConfig {
         shards,
         queue_capacity: 8,
@@ -92,7 +92,7 @@ fn quick_config(shards: usize, ingest: IngestMode) -> SupervisorConfig {
             backoff: Duration::from_millis(2),
         },
         shed: ShedConfig::default(),
-        ingest,
+        ..SupervisorConfig::default()
     }
 }
 
@@ -118,44 +118,76 @@ fn run(config: SupervisorConfig, plan: &FaultPlan) -> (BTreeMap<u64, RunResult>,
     (sup.finish().unwrap(), stats, recoveries)
 }
 
-/// Asserts the deterministic slices of two stats reports agree. Excluded by
-/// design: `commands` and `batches` (the transports differ on purpose),
-/// queue depth, backpressure and latency (timing), faults/recoveries
-/// (chaos-plan dependent). `worker_counters` additionally compares
-/// `submits`/`ticks` — valid only between fault-free runs, because those are
-/// worker-lifetime counters and reset when a recovery respawns the worker.
-fn assert_stats_conform(batched: &ServiceStats, oracle: &ServiceStats, worker_counters: bool) {
-    for (b, o) in batched.shards.iter().zip(oracle.shards.iter()) {
-        assert_eq!(b.shard, o.shard);
-        assert_eq!(b.tenants, o.tenants, "shard {}: tenant count", b.shard);
-        if worker_counters {
-            assert_eq!(b.submits, o.submits, "shard {}: per-entry submit count", b.shard);
-            assert_eq!(b.ticks, o.ticks, "shard {}: ticks", b.shard);
+/// The oracle: each tenant's two-submits-per-round arrivals through a lone
+/// [`Tenant`] under the same inbox watermark. Returns the final results and
+/// the per-tenant progress just before finishing.
+fn lone_run(watermark: Option<u64>) -> (BTreeMap<u64, RunResult>, Vec<(u64, TenantProgress)>) {
+    let mut results = BTreeMap::new();
+    let mut progress = Vec::new();
+    for id in 0..tenant_count() {
+        let mut t = Tenant::new(spec(policy_for(id))).unwrap();
+        for round in 0..ROUNDS {
+            for part in 0..2 {
+                t.submit_shedding(&arrivals(id, round, part), watermark).unwrap();
+            }
+            t.tick().unwrap();
         }
-        assert_eq!(b.executed, o.executed, "shard {}: executed", b.shard);
-        assert_eq!(b.dropped, o.dropped, "shard {}: dropped", b.shard);
-        assert_eq!(b.shed_jobs, o.shed_jobs, "shard {}: shed", b.shard);
-        assert_eq!(b.reconfig_cost, o.reconfig_cost, "shard {}: reconfig cost", b.shard);
+        progress.push((id, t.progress()));
+        results.insert(id, t.finish().unwrap());
     }
-    assert_eq!(batched.tenants, oracle.tenants, "per-tenant progress");
-    assert!(batched.conserves_jobs());
-    assert!(oracle.conserves_jobs());
+    (results, progress)
 }
 
-/// The core conformance claim, fault-free: batched and per-command ingestion
-/// compute bit-identical results and stats for every policy, across shard
-/// counts, and the batched transport actually coalesces (one batch per
-/// non-empty epoch, not one command per submit).
+/// Asserts a supervised stats report agrees with the lone-tenant oracle:
+/// per-tenant progress exactly, and each shard's tenant count and
+/// executed/dropped/shed/reconfiguration totals as sums over the tenants it
+/// owns. `worker_counters` additionally checks `ticks` and the per-entry
+/// `submits` count — valid only for fault-free runs, because those are
+/// worker-lifetime counters and reset when a recovery respawns the worker.
+fn assert_stats_conform(
+    stats: &ServiceStats,
+    oracle: &[(u64, TenantProgress)],
+    worker_counters: bool,
+) {
+    assert_eq!(stats.tenants, oracle, "per-tenant progress");
+    let shards = stats.shards.len();
+    for s in &stats.shards {
+        let owned: Vec<&TenantProgress> = oracle
+            .iter()
+            .filter(|(id, _)| shard_for(*id, shards) == s.shard)
+            .map(|(_, p)| p)
+            .collect();
+        assert_eq!(s.tenants, owned.len(), "shard {}: tenant count", s.shard);
+        let sum = |f: fn(&TenantProgress) -> u64| owned.iter().map(|p| f(p)).sum::<u64>();
+        assert_eq!(s.executed, sum(|p| p.executed), "shard {}: executed", s.shard);
+        assert_eq!(s.dropped, sum(|p| p.dropped), "shard {}: dropped", s.shard);
+        assert_eq!(s.shed_jobs, sum(|p| p.shed), "shard {}: shed", s.shard);
+        assert_eq!(s.reconfig_cost, sum(|p| p.cost.reconfig), "shard {}: reconfig", s.shard);
+        if worker_counters {
+            let submits = (0..tenant_count())
+                .filter(|&id| shard_for(id, shards) == s.shard)
+                .flat_map(|id| (0..ROUNDS).flat_map(move |r| (0..2).map(move |p| (id, r, p))))
+                .filter(|&(id, r, p)| !arrivals(id, r, p).is_empty())
+                .count() as u64;
+            assert_eq!(s.submits, submits, "shard {}: per-entry submit count", s.shard);
+            assert_eq!(s.ticks, ROUNDS, "shard {}: ticks", s.shard);
+        }
+    }
+    assert!(stats.conserves_jobs());
+}
+
+/// The core conformance claim, fault-free: batched ingestion computes
+/// results and stats bit-identical to lone tenants for every policy, across
+/// shard counts, and actually coalesces (at most one batch per epoch, not
+/// one command per submit).
 #[test]
-fn batched_matches_per_command_for_every_policy() {
+fn batched_ingest_matches_lone_tenants_for_every_policy() {
+    let (oracle_results, oracle_progress) = lone_run(None);
     for shards in [1, 2, 4] {
-        let (oracle_results, oracle_stats, _) =
-            run(quick_config(shards, IngestMode::PerCommand), &FaultPlan::none());
-        let (batched_results, batched_stats, _) =
-            run(quick_config(shards, IngestMode::Batched), &FaultPlan::none());
-        assert_eq!(batched_results, oracle_results, "{shards} shards: results diverged");
-        assert_stats_conform(&batched_stats, &oracle_stats, true);
-        for shard in &batched_stats.shards {
+        let (results, stats, _) = run(quick_config(shards), &FaultPlan::none());
+        assert_eq!(results, oracle_results, "{shards} shards: results diverged");
+        assert_stats_conform(&stats, &oracle_progress, true);
+        for shard in &stats.shards {
             assert!(
                 shard.batches <= shard.ticks,
                 "shard {}: at most one group commit per epoch ({} batches, {} ticks)",
@@ -165,49 +197,45 @@ fn batched_matches_per_command_for_every_policy() {
             );
             assert!(shard.batches > 0, "shard {}: batching engaged", shard.shard);
         }
-        for shard in &oracle_stats.shards {
-            assert_eq!(shard.batches, 0, "per-command oracle never batches");
-        }
     }
 }
 
-/// Kill every shard's worker once mid-run under batched ingestion: WAL
-/// replay of `SubmitBatch` group commits must land on the same state as the
-/// unfailed batched run *and* the per-command oracle.
+/// Kill every shard's worker once mid-run: WAL replay of `SubmitBatch`
+/// group commits must land on the lone-tenant oracle's state.
 #[test]
 fn killed_workers_replay_group_commits_bit_identically() {
     let shards = 2;
     let plan = FaultPlan::kill_each_shard_once(shards, ROUNDS, 42);
-    let (oracle_results, oracle_stats, _) =
-        run(quick_config(shards, IngestMode::PerCommand), &FaultPlan::none());
-    let (chaos_results, chaos_stats, recoveries) =
-        run(quick_config(shards, IngestMode::Batched), &plan);
+    let (oracle_results, oracle_progress) = lone_run(None);
+    let (chaos_results, chaos_stats, recoveries) = run(quick_config(shards), &plan);
     assert!(recoveries >= shards as u64, "every injected kill recovered");
     assert_eq!(chaos_results, oracle_results, "recovery diverged from the oracle");
-    assert_stats_conform(&chaos_stats, &oracle_stats, false);
+    assert_stats_conform(&chaos_stats, &oracle_progress, false);
 }
 
 /// Mid-batch inbox shedding: with a low watermark and two submits per tenant
 /// per epoch, shedding decisions depend on the *order of entries within a
-/// group commit*. They must agree with the per-command oracle, and survive a
-/// worker kill (replay re-sheds identically), fault-free or not.
+/// group commit*. They must agree with the lone-tenant oracle, and survive
+/// a worker kill (replay re-sheds identically).
 #[test]
 fn mid_batch_shedding_matches_oracle_and_survives_kills() {
     let shed = ShedConfig { inbox_watermark: Some(3), queue_watermark: None };
     let shards = 2;
-    let oracle_config = SupervisorConfig { shed, ..quick_config(shards, IngestMode::PerCommand) };
-    let batched_config = SupervisorConfig { shed, ..quick_config(shards, IngestMode::Batched) };
-    let (oracle_results, oracle_stats, _) = run(oracle_config, &FaultPlan::none());
-    let (batched_results, batched_stats, _) = run(batched_config, &FaultPlan::none());
-    assert!(oracle_stats.shed() > 0, "the watermark is low enough to bite");
-    assert_eq!(batched_results, oracle_results, "mid-batch shedding diverged");
-    assert_stats_conform(&batched_stats, &oracle_stats, true);
+    let config = SupervisorConfig { shed, ..quick_config(shards) };
+    let (oracle_results, oracle_progress) = lone_run(shed.inbox_watermark);
+    assert!(
+        oracle_progress.iter().any(|(_, p)| p.shed > 0),
+        "the watermark is low enough to bite"
+    );
+    let (results, stats, _) = run(config, &FaultPlan::none());
+    assert_eq!(results, oracle_results, "mid-batch shedding diverged");
+    assert_stats_conform(&stats, &oracle_progress, true);
 
     let plan = FaultPlan::kill_each_shard_once(shards, ROUNDS, 7);
-    let (chaos_results, chaos_stats, recoveries) = run(batched_config, &plan);
+    let (chaos_results, chaos_stats, recoveries) = run(config, &plan);
     assert!(recoveries >= shards as u64);
     assert_eq!(chaos_results, oracle_results, "replayed shedding diverged");
-    assert_stats_conform(&chaos_stats, &oracle_stats, false);
+    assert_stats_conform(&chaos_stats, &oracle_progress, false);
 }
 
 /// A worker that applies its tick but never publishes the epoch ack
@@ -219,11 +247,10 @@ fn dropped_epoch_ack_recovers_bit_identically() {
     let plan = FaultPlan {
         faults: vec![Fault { shard: 0, at_tick: 6, kind: FaultKind::DropAck }],
     };
-    let (clean_results, clean_stats, _) =
-        run(quick_config(shards, IngestMode::Batched), &FaultPlan::none());
+    let (oracle_results, oracle_progress) = lone_run(None);
     quiet_injected_panics();
     let tenants = tenant_count();
-    let mut sup = Supervisor::with_faults(quick_config(shards, IngestMode::Batched), &plan).unwrap();
+    let mut sup = Supervisor::with_faults(quick_config(shards), &plan).unwrap();
     for id in 0..tenants {
         sup.add_tenant(id, spec(policy_for(id))).unwrap();
     }
@@ -242,6 +269,6 @@ fn dropped_epoch_ack_recovers_bit_identically() {
         sup.recovery_events()
     );
     let stats = sup.stats().unwrap();
-    assert_stats_conform(&stats, &clean_stats, false);
-    assert_eq!(sup.finish().unwrap(), clean_results, "ack-drop recovery diverged");
+    assert_stats_conform(&stats, &oracle_progress, false);
+    assert_eq!(sup.finish().unwrap(), oracle_results, "ack-drop recovery diverged");
 }

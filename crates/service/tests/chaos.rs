@@ -3,7 +3,7 @@
 //! The core claim is the acceptance criterion of the supervision layer: with
 //! a seeded [`FaultPlan`] that kills each shard's worker once mid-run, the
 //! supervised final per-tenant [`RunResult`]s are **bit-identical** to a
-//! fault-free run (both a supervised one and a bare [`Service`] one) —
+//! fault-free run (both a supervised one and lone [`Tenant`]s) —
 //! checkpoint + WAL recovery loses nothing, including commands that were
 //! sitting in a dead worker's queue. Mixed fault plans (stalls, dropped
 //! replies, corrupted snapshots) change the *timing* of the run but never
@@ -17,8 +17,8 @@
 
 use rrs_core::{ColorId, ColorTable, RunResult};
 use rrs_service::{
-    FaultPlan, IngestMode, PolicySpec, RetryPolicy, Service, ServiceConfig, ShedConfig,
-    Supervisor, SupervisorConfig, TenantSpec,
+    FaultPlan, PolicySpec, RetryPolicy, ShedConfig, Supervisor, SupervisorConfig, Tenant,
+    TenantSpec,
 };
 use std::collections::BTreeMap;
 use std::sync::Once;
@@ -88,7 +88,7 @@ fn quick_config(shards: usize) -> SupervisorConfig {
             backoff: Duration::from_millis(2),
         },
         shed: ShedConfig::default(),
-        ingest: IngestMode::default(),
+        ..SupervisorConfig::default()
     }
 }
 
@@ -113,22 +113,18 @@ fn supervised_run(
     (sup.finish().unwrap(), recoveries)
 }
 
-/// The same workload through a bare, unsupervised [`Service`].
-fn plain_run(shards: usize) -> BTreeMap<u64, RunResult> {
-    let mut svc = Service::new(ServiceConfig { shards, queue_capacity: 8 }).unwrap();
-    for id in 0..TENANTS {
-        svc.add_tenant(id, spec(policy_for(id))).unwrap();
-    }
-    for round in 0..ROUNDS {
-        for id in 0..TENANTS {
-            let a = arrivals(id, round);
-            if !a.is_empty() {
-                svc.submit(id, a).unwrap();
+/// The same workload through lone tenants: no service, no shards.
+fn lone_run() -> BTreeMap<u64, RunResult> {
+    (0..TENANTS)
+        .map(|id| {
+            let mut t = Tenant::new(spec(policy_for(id))).unwrap();
+            for round in 0..ROUNDS {
+                t.submit(&arrivals(id, round)).unwrap();
+                t.tick().unwrap();
             }
-        }
-        svc.tick().unwrap();
-    }
-    svc.finish().unwrap()
+            (id, t.finish().unwrap())
+        })
+        .collect()
 }
 
 /// The acceptance criterion: kill each shard's worker once at a seeded tick;
@@ -144,7 +140,7 @@ fn kill_each_shard_once_is_bit_identical_to_unfailed_run() {
     let (clean, clean_recoveries) = supervised_run(quick_config(shards), &FaultPlan::none());
     assert_eq!(clean_recoveries, 0, "no spurious recoveries without faults");
     assert_eq!(chaotic, clean, "recovery diverged from the unfailed supervised run");
-    assert_eq!(chaotic, plain_run(shards), "recovery diverged from the bare service");
+    assert_eq!(chaotic, lone_run(), "recovery diverged from the lone tenants");
 }
 
 /// Stalls, dropped replies and corrupted snapshots perturb timing and
@@ -161,7 +157,7 @@ fn mixed_fault_plan_preserves_results() {
     .unwrap();
     let (chaotic, recoveries) = supervised_run(quick_config(shards), &plan);
     assert!(recoveries >= 2, "both panics force recovery: {recoveries}");
-    assert_eq!(chaotic, plain_run(shards), "mixed faults changed results");
+    assert_eq!(chaotic, lone_run(), "mixed faults changed results");
 }
 
 /// 4× overload against an inbox watermark: the run completes without
@@ -248,7 +244,7 @@ fn corrupt_checkpoint_then_panic_recovers_from_older_state() {
     let plan = FaultPlan::parse("corrupt-snapshot@5, panic@9", shards, ROUNDS).unwrap();
     let (chaotic, recoveries) = supervised_run(quick_config(shards), &plan);
     assert!(recoveries >= 1);
-    assert_eq!(chaotic, plain_run(shards), "fallback recovery diverged");
+    assert_eq!(chaotic, lone_run(), "fallback recovery diverged");
 }
 
 /// Random *IO* fault plans over the disk backend: transient errors, slow

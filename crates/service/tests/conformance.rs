@@ -5,11 +5,13 @@
 //! snapshot → JSON → restore cycle) must produce a [`RunResult`] bit-identical
 //! to replaying the same trace through the batch [`Engine`] — same cost, same
 //! executed/dropped counts, same round count, same per-color breakdown. The
-//! same must hold through the full sharded [`Service`] with a kill/restore in
-//! the middle, at 1, 2 and 8 shards.
+//! same must hold through a sharded [`Supervisor`] whose worker is killed in
+//! the middle and rebuilt from checkpoint + WAL, at 1, 2 and 8 shards.
 
 use rrs_core::{CostModel, Engine, EngineOptions, RunResult, StreamingEngine, Trace};
-use rrs_service::{PolicySpec, Service, ServiceConfig, Tenant, TenantSpec};
+use rrs_service::{
+    shard_for, FaultPlan, PolicySpec, Supervisor, SupervisorConfig, Tenant, TenantSpec,
+};
 use rrs_workloads::prelude::*;
 
 const DELAY_BOUNDS: &[u64] = &[2, 4, 8, 16];
@@ -105,9 +107,9 @@ fn every_policy_survives_mid_run_snapshot_restore() {
     }
 }
 
-/// Drives `tenants` tenants through a service with `shards` shards, killing
-/// and restoring one shard at `kill_round`, and returns the final per-tenant
-/// results in tenant order.
+/// Drives `tenants` tenants through a supervisor with `shards` shards,
+/// killing tenant 0's worker while it applies round `kill_round`, and
+/// returns the final per-tenant results in tenant order.
 fn service_run(
     load: &MultiTenantLoad,
     spec: PolicySpec,
@@ -115,28 +117,31 @@ fn service_run(
     kill_round: u64,
 ) -> Vec<RunResult> {
     let driver = OpenLoopDriver::new(load);
-    let mut svc = Service::new(ServiceConfig { shards, queue_capacity: 16 }).unwrap();
+    // Shard-local ticks are 1-based: round r is tick r + 1.
+    let kill = format!("kill@{}:{}", kill_round + 1, shard_for(0, shards));
+    let plan = FaultPlan::parse(&kill, shards, driver.horizon() + 1).unwrap();
+    let config = SupervisorConfig {
+        shards,
+        queue_capacity: 16,
+        checkpoint_every: 4,
+        ..SupervisorConfig::default()
+    };
+    let mut sup = Supervisor::with_faults(config, &plan).unwrap();
     for t in 0..driver.tenants() {
         let tspec = TenantSpec::new(spec, driver.trace(t).colors().clone(), N, DELTA);
-        svc.add_tenant(t, tspec).unwrap();
+        sup.add_tenant(t, tspec).unwrap();
     }
     for round in 0..=driver.horizon() {
         for t in 0..driver.tenants() {
             let arrivals = driver.arrivals(t, round);
             if !arrivals.is_empty() {
-                svc.submit(t, arrivals).unwrap();
+                sup.submit(t, arrivals).unwrap();
             }
         }
-        svc.tick().unwrap();
-        if round == kill_round {
-            let victim = svc.shard_of(0);
-            let snap = svc.snapshot_shard(victim).unwrap();
-            assert!(snap.conserves_jobs(), "conservation before kill");
-            svc.kill_shard(victim).unwrap();
-            svc.restore_shard(snap).unwrap();
-        }
+        sup.tick().unwrap();
     }
-    let results = svc.finish().unwrap();
+    assert_eq!(sup.recoveries(), 1, "the injected kill was recovered");
+    let results = sup.finish().unwrap();
     (0..driver.tenants()).map(|t| results[&t].clone()).collect()
 }
 
@@ -182,7 +187,7 @@ fn kill_and_restore_conformance_across_1_2_8_shards() {
         let got = service_run(&load, spec, shards, 9);
         assert_eq!(
             got, reference,
-            "results changed under {shards} shards with mid-run kill/restore"
+            "results changed under {shards} shards with a mid-run kill and recovery"
         );
     }
 }

@@ -21,11 +21,13 @@
 //! passed through the environment. Without those variables the entrypoint
 //! is a no-op, so a normal `cargo test` run sails through it.
 
-use rrs_core::{ColorId, ColorTable};
+use rrs_core::{ColorId, ColorTable, RunResult};
 use rrs_service::{
-    DiskBackend, DiskConfig, FaultPlan, IngestMode, MemoryBackend, PolicySpec, RetryPolicy,
-    ShedConfig, Supervisor, SupervisorConfig, TenantSpec,
+    shard_for, DiskBackend, DiskConfig, FaultPlan, MemoryBackend, PolicySpec, RetryPolicy,
+    ShardFaults, ShardStore, ShedConfig, StorageBackend, Supervisor, SupervisorConfig, Tenant,
+    TenantSpec, WalRecord,
 };
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::Duration;
@@ -44,7 +46,7 @@ fn config() -> SupervisorConfig {
             backoff: Duration::from_millis(1),
         },
         shed: ShedConfig::default(),
-        ingest: IngestMode::Batched,
+        ..SupervisorConfig::default()
     }
 }
 
@@ -155,9 +157,9 @@ fn child_workload_entrypoint() {
     match mode.as_str() {
         "abort" => {
             drive_epochs(&mut sup, 0, epochs);
-            // Mid-epoch: the next round's submits are buffered (and, for
-            // per-command durability semantics, journaled only at the next
-            // tick's group commit) when the process dies.
+            // Mid-epoch: the next round's submits are buffered (they are
+            // journaled only at the next tick's group commit) when the
+            // process dies.
             for id in 0..TENANTS {
                 sup.submit(id, arrivals(id, epochs)).unwrap();
             }
@@ -331,5 +333,58 @@ fn checkpointed_cold_start_replays_only_the_suffix() {
     }
     assert_prefix_consistent(&mut recovered);
     recovered.finish().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Data directories written by per-submit ingestion hold one `Submit`
+/// record per submit, each committed on its own, instead of one
+/// `SubmitBatch` per epoch. No live path writes that layout any more, so
+/// this case journals it by hand through the storage API and checks that a
+/// cold start replays it into the lone-tenant oracle's state — and that the
+/// recovered service keeps going on top of it.
+#[test]
+fn per_submit_wal_directories_still_cold_start() {
+    let dir = temp_dir("per-submit");
+    const EPOCHS: u64 = 9;
+    const MORE: u64 = 3;
+    {
+        let mut backend = DiskBackend::new(DiskConfig::new(&dir));
+        let mut stores: Vec<Box<dyn ShardStore>> = (0..SHARDS)
+            .map(|s| backend.open_shard(s, ShardFaults::none()).unwrap())
+            .collect();
+        for id in 0..TENANTS {
+            let store = &mut stores[shard_for(id, SHARDS)];
+            store.append(&WalRecord::AddTenant { id, spec: spec_for(id) }).unwrap();
+            store.commit().unwrap();
+        }
+        for round in 0..EPOCHS {
+            for id in 0..TENANTS {
+                let store = &mut stores[shard_for(id, SHARDS)];
+                let record = WalRecord::Submit { tenant: id, arrivals: arrivals(id, round) };
+                store.append(&record).unwrap();
+                store.commit().unwrap();
+            }
+            for store in &mut stores {
+                store.append(&WalRecord::Tick).unwrap();
+                store.commit().unwrap();
+            }
+        }
+    }
+    let mut recovered = disk_supervisor(&dir, &FaultPlan::none());
+    for shard in 0..SHARDS {
+        assert_eq!(recovered.shard_ticks(shard).unwrap(), EPOCHS, "shard {shard} epochs");
+    }
+    drive_epochs(&mut recovered, EPOCHS, EPOCHS + MORE);
+    let oracle: BTreeMap<u64, RunResult> = (0..TENANTS)
+        .map(|id| {
+            let mut t = Tenant::new(spec_for(id)).unwrap();
+            for round in 0..EPOCHS + MORE {
+                t.submit(&arrivals(id, round)).unwrap();
+                t.tick().unwrap();
+            }
+            (id, t.finish().unwrap())
+        })
+        .collect();
+    assert_eq!(recovered.finish().unwrap(), oracle, "per-submit replay diverged");
     let _ = std::fs::remove_dir_all(&dir);
 }

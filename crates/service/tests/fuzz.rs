@@ -1,12 +1,13 @@
 //! Randomized service fuzzing.
 //!
 //! A deterministic per-tenant *script* (policy + per-round arrivals) is drawn
-//! from a seed, then executed three ways: through the sharded service at 1, 2
-//! and 8 shards, each with its own random interleaving of Submit commands,
-//! random split submits, random snapshot probes and random shard
-//! kill/restore cycles. Every tenant's final [`RunResult`] must be identical
+//! from a seed, then executed three ways: through a [`Supervisor`] at 1, 2
+//! and 8 shards, each with its own random interleaving of submits, random
+//! split submits, random snapshot probes, a random checkpoint cadence and
+//! random worker kills (a `kill@ROUND:SHARD` [`FaultPlan`], recovered from
+//! checkpoint + WAL). Every tenant's final [`RunResult`] must be identical
 //! across all shard counts and interleavings, and equal to the script run
-//! through a bare [`Tenant`] with no service at all. Every snapshot taken
+//! through a lone [`Tenant`] with no service at all. Every snapshot taken
 //! along the way must conserve jobs (arrived = executed + dropped + pending).
 //!
 //! The fixed-seed passes keep tier-1 deterministic; `fuzz_random_smoke` adds
@@ -14,7 +15,10 @@
 //! smoke job).
 
 use rrs_core::{ColorId, ColorTable, RunResult};
-use rrs_service::{PolicySpec, Service, ServiceConfig, Tenant, TenantSpec};
+use rrs_service::{
+    Fault, FaultKind, FaultPlan, PolicySpec, Supervisor, SupervisorConfig, Tenant, TenantSpec,
+};
+use std::sync::Once;
 
 const DELAY_BOUNDS: &[u64] = &[2, 4, 8];
 const N: usize = 4;
@@ -77,7 +81,29 @@ fn tenant_spec(script: &Script) -> TenantSpec {
     )
 }
 
-/// The ground truth: each script through a bare tenant, no service.
+/// Injected panics are part of the test; keep them off stderr while letting
+/// unexpected panics through to the default hook.
+fn quiet_injected_panics() {
+    static HOOK: Once = Once::new();
+    HOOK.call_once(|| {
+        let default_hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let injected = info
+                .payload()
+                .downcast_ref::<String>()
+                .map(|s| s.contains("injected fault"))
+                .or_else(|| {
+                    info.payload().downcast_ref::<&str>().map(|s| s.contains("injected fault"))
+                })
+                .unwrap_or(false);
+            if !injected {
+                default_hook(info);
+            }
+        }));
+    });
+}
+
+/// The ground truth: each script through a lone tenant, no service.
 fn reference_results(scripts: &[Script]) -> Vec<RunResult> {
     scripts
         .iter()
@@ -92,19 +118,36 @@ fn reference_results(scripts: &[Script]) -> Vec<RunResult> {
         .collect()
 }
 
-/// Runs the scripts through a sharded service with chaos drawn from
+/// Runs the scripts through a supervisor with chaos drawn from
 /// `interleave_seed`, returning final results in tenant order.
 fn service_run(scripts: &[Script], shards: usize, interleave_seed: u64) -> Vec<RunResult> {
+    quiet_injected_panics();
     let mut rng = Rng(interleave_seed);
-    let mut svc = Service::new(ServiceConfig { shards, queue_capacity: 2 }).unwrap();
-    for (id, s) in scripts.iter().enumerate() {
-        svc.add_tenant(id as u64, tenant_spec(s)).unwrap();
-    }
     let rounds = scripts.iter().map(|s| s.rounds.len()).max().unwrap_or(0);
+    // Hard failures: now and then a worker dies while applying a round's
+    // tick; the supervisor rebuilds it from checkpoint + WAL replay.
+    let mut kills = Vec::new();
+    for tick in 1..=rounds as u64 {
+        if rng.chance(15) {
+            let shard = rng.below(shards as u64) as usize;
+            kills.push(Fault { shard, at_tick: tick, kind: FaultKind::Panic });
+        }
+    }
+    let config = SupervisorConfig {
+        shards,
+        queue_capacity: 2,
+        checkpoint_every: 1 + rng.below(5),
+        ..SupervisorConfig::default()
+    };
+    let killed = kills.len() as u64;
+    let mut sup = Supervisor::with_faults(config, &FaultPlan { faults: kills }).unwrap();
+    for (id, s) in scripts.iter().enumerate() {
+        sup.add_tenant(id as u64, tenant_spec(s)).unwrap();
+    }
     for round in 0..rounds {
         // Random submission order across tenants; arrivals randomly split
-        // into two Submit commands (counts merge in the tenant inbox, so the
-        // split must not be observable).
+        // into two submits (counts merge in the tenant inbox, so the split
+        // must not be observable).
         let mut order: Vec<usize> = (0..scripts.len()).collect();
         for i in (1..order.len()).rev() {
             order.swap(i, rng.below(i as u64 + 1) as usize);
@@ -116,38 +159,28 @@ fn service_run(scripts: &[Script], shards: usize, interleave_seed: u64) -> Vec<R
             }
             if arrivals.len() > 1 && rng.chance(30) {
                 let split = 1 + rng.below(arrivals.len() as u64 - 1) as usize;
-                svc.submit(t as u64, arrivals[..split].to_vec()).unwrap();
-                svc.submit(t as u64, arrivals[split..].to_vec()).unwrap();
+                sup.submit(t as u64, arrivals[..split].to_vec()).unwrap();
+                sup.submit(t as u64, arrivals[split..].to_vec()).unwrap();
             } else {
-                svc.submit(t as u64, arrivals.clone()).unwrap();
+                sup.submit(t as u64, arrivals.clone()).unwrap();
             }
         }
-        svc.tick().unwrap();
+        sup.tick().unwrap();
         if rng.chance(20) {
             let probe = rng.below(shards as u64) as usize;
-            let snap = svc.snapshot_shard(probe).unwrap();
+            let snap = sup.snapshot_shard(probe).unwrap();
             assert!(
                 snap.conserves_jobs(),
                 "shard {probe} violates job conservation at round {round}"
             );
         }
-        if rng.chance(15) {
-            let victim = rng.below(shards as u64) as usize;
-            let snap = svc.snapshot_shard(victim).unwrap();
-            assert!(snap.conserves_jobs());
-            if rng.chance(50) {
-                // Hard failure: kill the worker, respawn from the snapshot.
-                svc.kill_shard(victim).unwrap();
-                svc.restore_shard(snap).unwrap();
-            } else {
-                // Soft rollback: the Restore command on the live worker.
-                svc.rollback_shard(snap).unwrap();
-            }
-        }
     }
-    let full = svc.snapshot().unwrap();
-    assert!(full.conserves_jobs(), "conservation at final snapshot");
-    let results = svc.finish().unwrap();
+    for shard in 0..shards {
+        let snap = sup.snapshot_shard(shard).unwrap();
+        assert!(snap.conserves_jobs(), "shard {shard}: conservation at final snapshot");
+    }
+    assert_eq!(sup.recoveries(), killed, "every injected kill was recovered once");
+    let results = sup.finish().unwrap();
     (0..scripts.len() as u64).map(|t| results[&t].clone()).collect()
 }
 

@@ -4,7 +4,7 @@
 //! The same deterministic workload ([`SyntheticLoad`], the exact schedule
 //! `batching.rs` uses) is driven twice — once through a [`NetSink`] against
 //! an `rrs serve`-style [`NetServer`] over real loopback sockets, once
-//! in-process under [`IngestMode::Batched`] — and the final per-tenant
+//! in-process on a [`Supervisor`] — and the final per-tenant
 //! [`RunResult`]s, per-shard [`rrs_service::ShardSnapshot`]s and the
 //! deterministic slices of [`ServiceStats`] must be **bit-identical**.
 //! That holds across memory and disk backends, with PackBits compression
@@ -14,8 +14,8 @@
 
 use rrs_core::{ColorTable, RunResult};
 use rrs_service::{
-    DiskBackend, DiskConfig, FaultPlan, IngestMode, NetServer, NetSink, PolicySpec, RetryPolicy,
-    ServiceStats, ShardSnapshot, ShedConfig, SinkConfig, Supervisor, SupervisorConfig, TenantSpec,
+    DiskBackend, DiskConfig, FaultPlan, NetServer, NetSink, PolicySpec, RetryPolicy, ServiceStats,
+    ShardSnapshot, ShedConfig, SinkConfig, Supervisor, SupervisorConfig, TenantSpec,
 };
 use rrs_workloads::loadgen::{EpochSink, SyntheticLoad};
 use std::collections::BTreeMap;
@@ -79,7 +79,7 @@ fn quick_config(shards: usize) -> SupervisorConfig {
             backoff: Duration::from_millis(2),
         },
         shed: ShedConfig::default(),
-        ingest: IngestMode::Batched,
+        ..SupervisorConfig::default()
     }
 }
 

@@ -11,9 +11,7 @@
 //! adversary, which is the separation the scenario sweep later tags.
 
 use rrs_core::RunResult;
-use rrs_service::{
-    FaultPlan, IngestMode, MemoryBackend, PolicySpec, Supervisor, SupervisorConfig, TenantSpec,
-};
+use rrs_service::{FaultPlan, MemoryBackend, PolicySpec, Supervisor, SupervisorConfig, TenantSpec};
 use rrs_workloads::prelude::*;
 
 /// Runs one adversary spec through the live service under `policy`, single
@@ -24,7 +22,6 @@ fn live_run(spec: &WorkloadSpec, policy: PolicySpec, n: usize, delta: u64) -> Ru
         shards: 2,
         queue_capacity: 16,
         checkpoint_every: 8,
-        ingest: IngestMode::Batched,
         ..Default::default()
     };
     let mut sup =

@@ -4,7 +4,7 @@
 //! closed form, the per-round-seeded stochastic generators, and a
 //! trace-backed legacy generator — is driven through the supervised service
 //! via [`StreamingDriver`] (arrivals queried round by round, never a
-//! materialized trace), under both ingest modes and both storage backends.
+//! materialized trace), over both storage backends.
 //! The per-tenant [`RunResult`]s must be bit-identical to a lone
 //! [`StreamingEngine`] fed from the *materialized offline oracle trace*
 //! ([`StreamingDriver::oracle`]) over the same fleet horizon: the streamed
@@ -13,8 +13,8 @@
 
 use rrs_core::{CostModel, RunResult, StreamingEngine};
 use rrs_service::{
-    DiskBackend, DiskConfig, FaultPlan, IngestMode, MemoryBackend, PolicySpec, StorageBackend,
-    Supervisor, SupervisorConfig, TenantSpec,
+    DiskBackend, DiskConfig, FaultPlan, MemoryBackend, PolicySpec, StorageBackend, Supervisor,
+    SupervisorConfig, TenantSpec,
 };
 use rrs_workloads::prelude::*;
 use std::collections::BTreeMap;
@@ -81,14 +81,12 @@ fn service_run(
     driver: &StreamingDriver,
     policy: PolicySpec,
     shards: usize,
-    ingest: IngestMode,
     backend: Box<dyn StorageBackend>,
 ) -> BTreeMap<u64, RunResult> {
     let config = SupervisorConfig {
         shards,
         queue_capacity: 16,
         checkpoint_every: 7,
-        ingest,
         ..Default::default()
     };
     let mut sup = Supervisor::with_storage(config, &FaultPlan::none(), backend).unwrap();
@@ -108,7 +106,7 @@ fn service_run(
     sup.finish().unwrap()
 }
 
-fn check_all_workloads(ingest: IngestMode, disk: bool, tag: &str) {
+fn check_all_workloads(disk: bool, tag: &str) {
     for (i, spec) in workloads().into_iter().enumerate() {
         let load = MultiTenantLoad::new(spec.clone(), TENANTS, 42);
         let driver = StreamingDriver::from_load(&load).unwrap();
@@ -121,7 +119,7 @@ fn check_all_workloads(ingest: IngestMode, disk: bool, tag: &str) {
             } else {
                 Box::new(MemoryBackend::new())
             };
-            let results = service_run(&driver, policy, shards, ingest, backend);
+            let results = service_run(&driver, policy, shards, backend);
             for t in 0..TENANTS {
                 assert_eq!(
                     results[&t],
@@ -148,23 +146,18 @@ fn scratch_dir(tag: &str) -> PathBuf {
 }
 
 #[test]
-fn streaming_sources_conform_per_command_memory() {
-    check_all_workloads(IngestMode::PerCommand, false, "pc-mem");
-}
-
-#[test]
 fn streaming_sources_conform_batched_memory() {
-    check_all_workloads(IngestMode::Batched, false, "b-mem");
+    check_all_workloads(false, "b-mem");
 }
 
 #[test]
 fn streaming_sources_conform_batched_disk() {
-    check_all_workloads(IngestMode::Batched, true, "b-disk");
+    check_all_workloads(true, "b-disk");
 }
 
 /// The same conformance claim across the *policy* axis: every streamable
 /// policy computes identical results from streamed rounds and from the
-/// materialized oracle (memory backend, batched ingest, one workload —
+/// materialized oracle (memory backend, one workload —
 /// the drifting generator, whose demand sweep exercises reconfiguration).
 #[test]
 fn every_policy_conforms_on_the_drifting_source() {
@@ -180,13 +173,7 @@ fn every_policy_conforms_on_the_drifting_source() {
     let driver = StreamingDriver::from_load(&load).unwrap();
     for &policy in PolicySpec::all() {
         let reference = oracle_reference(&driver, policy);
-        let results = service_run(
-            &driver,
-            policy,
-            2,
-            IngestMode::Batched,
-            Box::new(MemoryBackend::new()),
-        );
+        let results = service_run(&driver, policy, 2, Box::new(MemoryBackend::new()));
         for t in 0..2 {
             assert_eq!(
                 results[&t],

@@ -1,18 +1,20 @@
 //! Malformed and corrupted snapshots must surface as typed errors, never
 //! panics: truncated JSON payloads fail to parse, duplicate tenant entries
-//! and job-conservation violations are caught by [`ShardSnapshot::validate`],
-//! misrouted tenants are refused by [`Service::restore_shard`], and engine
-//! state tampering is detected by restore-time replay verification
-//! ([`ServiceError::Divergence`]). A property test mutates valid
-//! serializations byte-wise and checks that every outcome is parse-error,
-//! typed validation error, or a benign equivalent snapshot — never a panic
-//! and never a silently-adopted corrupt state.
+//! are refused by [`restore_tenants`], job-conservation violations,
+//! misrouted tenants and out-of-range shard indices are caught by
+//! [`ShardSnapshot::validate`] (the check the supervisor runs before it
+//! adopts a checkpoint), and engine state tampering is detected by
+//! restore-time replay verification ([`ServiceError::Divergence`]). A
+//! property test mutates valid serializations byte-wise and checks that
+//! every outcome is parse-error, typed validation error, or a benign
+//! equivalent snapshot — never a panic and never a silently-adopted corrupt
+//! state.
 
 use proptest::prelude::*;
 use rrs_core::{ColorId, ColorTable};
 use rrs_service::{
-    shard_for, PolicySpec, Service, ServiceConfig, ServiceError, ShardSnapshot, Tenant,
-    TenantSpec,
+    restore_tenants, shard_for, PolicySpec, ServiceError, ShardSnapshot, Supervisor,
+    SupervisorConfig, Tenant, TenantSpec,
 };
 
 const SHARDS: usize = 2;
@@ -21,26 +23,27 @@ fn spec() -> TenantSpec {
     TenantSpec::new(PolicySpec::DlruEdf, ColorTable::from_delay_bounds(&[2, 4]), 4, 2)
 }
 
-/// A small driven service plus one of its shard snapshots mid-run.
-fn service_with_snapshot() -> (Service, ShardSnapshot) {
-    let mut svc = Service::new(ServiceConfig { shards: SHARDS, queue_capacity: 8 }).unwrap();
+/// A small driven supervisor plus one of its shard snapshots mid-run.
+fn service_with_snapshot() -> (Supervisor, ShardSnapshot) {
+    let config = SupervisorConfig { shards: SHARDS, queue_capacity: 8, ..Default::default() };
+    let mut sup = Supervisor::new(config).unwrap();
     for id in 0..6u64 {
-        svc.add_tenant(id, spec()).unwrap();
+        sup.add_tenant(id, spec()).unwrap();
     }
     for round in 0..5u64 {
         for id in 0..6u64 {
-            svc.submit(id, vec![(ColorId((id % 2) as u32), 1 + round % 3)]).unwrap();
+            sup.submit(id, vec![(ColorId((id % 2) as u32), 1 + round % 3)]).unwrap();
         }
-        svc.tick().unwrap();
+        sup.tick().unwrap();
     }
-    let snap = svc.snapshot_shard(shard_for(0, SHARDS)).unwrap();
+    let snap = sup.snapshot_shard(shard_for(0, SHARDS)).unwrap();
     assert!(!snap.tenants.is_empty());
-    (svc, snap)
+    (sup, snap)
 }
 
 #[test]
 fn truncated_json_is_a_parse_error_not_a_panic() {
-    let (svc, snap) = service_with_snapshot();
+    let (sup, snap) = service_with_snapshot();
     let json = serde_json::to_string(&snap).unwrap();
     // Every proper prefix must fail to parse (or, for the rare prefix that
     // happens to be valid JSON of the wrong shape, fail to deserialize) —
@@ -57,12 +60,12 @@ fn truncated_json_is_a_parse_error_not_a_panic() {
     // The untruncated payload still round-trips.
     let full: ShardSnapshot = serde_json::from_str(&json).unwrap();
     assert_eq!(full, snap);
-    svc.finish().unwrap();
+    sup.finish().unwrap();
 }
 
 #[test]
 fn duplicate_tenant_ids_are_rejected() {
-    let (svc, snap) = service_with_snapshot();
+    let (sup, snap) = service_with_snapshot();
     let mut bad = snap.clone();
     let dup = bad.tenants[0].clone();
     bad.tenants.insert(1, dup.clone());
@@ -70,10 +73,7 @@ fn duplicate_tenant_ids_are_rejected() {
         bad.validate(SHARDS, |id| shard_for(id, SHARDS)),
         Err(ServiceError::DuplicateTenant(id)) if id == dup.0
     ));
-    assert!(matches!(
-        svc.rollback_shard(bad),
-        Err(ServiceError::DuplicateTenant(_))
-    ));
+    assert!(matches!(restore_tenants(bad), Err(ServiceError::DuplicateTenant(_))));
     // Out-of-order (but distinct) entries are corruption too.
     if snap.tenants.len() >= 2 {
         let mut unsorted = snap.clone();
@@ -83,12 +83,12 @@ fn duplicate_tenant_ids_are_rejected() {
             Err(ServiceError::Corrupt(_))
         ));
     }
-    svc.finish().unwrap();
+    sup.finish().unwrap();
 }
 
 #[test]
 fn conservation_violations_and_tampered_state_are_typed_errors() {
-    let (svc, snap) = service_with_snapshot();
+    let (sup, snap) = service_with_snapshot();
     // Inflate an executed counter: breaks arrived = executed+dropped+pending.
     let mut bad = snap.clone();
     bad.tenants[0].1.engine.result.executed += 1;
@@ -106,19 +106,20 @@ fn conservation_violations_and_tampered_state_are_typed_errors() {
         matches!(Tenant::restore(subtle), Err(ServiceError::Divergence(_))),
         "replay verification missed tampered engine state"
     );
-    svc.finish().unwrap();
+    sup.finish().unwrap();
 }
 
 #[test]
-fn misrouted_tenants_are_refused_by_restore() {
-    let (mut svc, snap) = service_with_snapshot();
+fn misrouted_tenants_are_refused_by_validation() {
+    let (sup, snap) = service_with_snapshot();
+    let route = |id| shard_for(id, SHARDS);
     let home = snap.shard;
     let other = (home + 1) % SHARDS;
+    assert!(snap.validate(SHARDS, route).is_ok(), "the honest snapshot validates");
     // Claim the same tenants live on the wrong shard.
     let mut bad = snap.clone();
     bad.shard = other;
-    svc.kill_shard(other).unwrap();
-    match svc.restore_shard(bad) {
+    match bad.validate(SHARDS, route) {
         Err(ServiceError::MisroutedTenant { tenant, shard, expected }) => {
             assert_eq!(shard, other);
             assert_eq!(expected, home);
@@ -127,15 +128,10 @@ fn misrouted_tenants_are_refused_by_restore() {
         other => panic!("expected MisroutedTenant, got {other:?}"),
     }
     // An out-of-range shard index is caught before anything else.
-    let mut way_off = snap.clone();
+    let mut way_off = snap;
     way_off.shard = 99;
-    assert!(matches!(
-        svc.restore_shard(way_off),
-        Err(ServiceError::UnknownShard(99))
-    ));
-    // The honest snapshot restores the still-dead shard only if it is its
-    // own; `home` is alive, so restoring it is refused as such.
-    assert!(svc.restore_shard(snap).is_err());
+    assert!(matches!(way_off.validate(SHARDS, route), Err(ServiceError::UnknownShard(99))));
+    sup.finish().unwrap();
 }
 
 proptest! {

@@ -1,7 +1,10 @@
-//! Service-level storage-fault suite: the supervised service over a
+//! Storage-fault suite at the supervisor level: the supervised service over a
 //! [`DiskBackend`] whose group commits fail in controlled ways.
 //!
 //! The claims under test are the self-healing storage contract:
+//!
+//! Every live run is compared against the same arrivals fed through lone
+//! [`Tenant`]s — no service, no storage.
 //!
 //! * **Transient IO errors** are absorbed by seeded-jittered retries inside
 //!   the commit — no degradation, full durability, identical results.
@@ -16,8 +19,8 @@
 //!   data directory.
 
 use rrs_service::{
-    DiskBackend, DiskConfig, FaultPlan, IngestMode, PolicySpec, RetryPolicy, ShedConfig,
-    Supervisor, SupervisorConfig, TenantSpec,
+    DiskBackend, DiskConfig, FaultPlan, PolicySpec, RetryPolicy, ShedConfig, Supervisor,
+    SupervisorConfig, Tenant, TenantSpec,
 };
 use rrs_core::{ColorId, ColorTable, RunResult};
 use std::collections::BTreeMap;
@@ -51,7 +54,7 @@ fn arrivals(tenant: u64, round: u64) -> Vec<(ColorId, u64)> {
     out
 }
 
-fn config(shards: usize, ingest: IngestMode) -> SupervisorConfig {
+fn config(shards: usize) -> SupervisorConfig {
     SupervisorConfig {
         shards,
         queue_capacity: 8,
@@ -62,7 +65,7 @@ fn config(shards: usize, ingest: IngestMode) -> SupervisorConfig {
             backoff: Duration::from_millis(2),
         },
         shed: ShedConfig::default(),
-        ingest,
+        ..SupervisorConfig::default()
     }
 }
 
@@ -84,13 +87,8 @@ fn disk_backend(dir: &Path) -> Box<DiskBackend> {
 
 /// Drives the standard workload over a disk-backed supervisor, returning
 /// the final results plus the storage counters observed before `finish`.
-fn disk_run(
-    dir: &Path,
-    ingest: IngestMode,
-    plan: &FaultPlan,
-) -> (BTreeMap<u64, RunResult>, rrs_service::StorageStats) {
-    let mut sup =
-        Supervisor::with_storage(config(2, ingest), plan, disk_backend(dir)).unwrap();
+fn disk_run(dir: &Path, plan: &FaultPlan) -> (BTreeMap<u64, RunResult>, rrs_service::StorageStats) {
+    let mut sup = Supervisor::with_storage(config(2), plan, disk_backend(dir)).unwrap();
     for id in 0..TENANTS {
         sup.add_tenant(id, spec(policy_for(id))).unwrap();
     }
@@ -106,28 +104,26 @@ fn disk_run(
     (sup.finish().unwrap(), storage)
 }
 
-/// The fault-free oracle: the same workload, memory-backed.
-fn clean_run(ingest: IngestMode) -> BTreeMap<u64, RunResult> {
-    let mut sup = Supervisor::with_faults(config(2, ingest), &FaultPlan::none()).unwrap();
-    for id in 0..TENANTS {
-        sup.add_tenant(id, spec(policy_for(id))).unwrap();
-    }
-    for round in 0..ROUNDS {
-        for id in 0..TENANTS {
-            sup.submit(id, arrivals(id, round)).unwrap();
-        }
-        sup.tick().unwrap();
-    }
-    sup.finish().unwrap()
+/// The fault-free oracle: the same workload through lone tenants.
+fn clean_run() -> BTreeMap<u64, RunResult> {
+    (0..TENANTS)
+        .map(|id| {
+            let mut t = Tenant::new(spec(policy_for(id))).unwrap();
+            for round in 0..ROUNDS {
+                t.submit(&arrivals(id, round)).unwrap();
+                t.tick().unwrap();
+            }
+            (id, t.finish().unwrap())
+        })
+        .collect()
 }
 
 /// Cold-starts a supervisor from `dir` and drains it — the disk-recovery
 /// oracle. When every fault healed before shutdown this must reproduce the
 /// live run's results exactly.
-fn cold_start_results(dir: &Path, ingest: IngestMode) -> BTreeMap<u64, RunResult> {
+fn cold_start_results(dir: &Path) -> BTreeMap<u64, RunResult> {
     let mut sup =
-        Supervisor::with_storage(config(2, ingest), &FaultPlan::none(), disk_backend(dir))
-            .unwrap();
+        Supervisor::with_storage(config(2), &FaultPlan::none(), disk_backend(dir)).unwrap();
     let stats = sup.stats().unwrap();
     assert!(stats.conserves_jobs(), "recovered state must conserve jobs");
     sup.finish().unwrap()
@@ -137,12 +133,12 @@ fn cold_start_results(dir: &Path, ingest: IngestMode) -> BTreeMap<u64, RunResult
 fn transient_io_errors_are_retried_with_no_visible_effect() {
     let dir = temp_dir("transient");
     let plan = FaultPlan::parse("transient-io@4:0:2, transient-io@6:1:3", 2, ROUNDS).unwrap();
-    let (results, storage) = disk_run(&dir, IngestMode::Batched, &plan);
+    let (results, storage) = disk_run(&dir, &plan);
     assert!(storage.retries >= 5, "every injected failure retried: {}", storage.retries);
     assert_eq!(storage.degraded_commits, 0, "retries absorbed the glitches in place");
-    assert_eq!(results, clean_run(IngestMode::Batched), "transient IO changed results");
+    assert_eq!(results, clean_run(), "transient IO changed results");
     assert_eq!(
-        cold_start_results(&dir, IngestMode::Batched),
+        cold_start_results(&dir),
         results,
         "cold start lost records"
     );
@@ -153,13 +149,13 @@ fn transient_io_errors_are_retried_with_no_visible_effect() {
 fn io_error_burst_degrades_heals_and_stays_bit_identical() {
     let dir = temp_dir("burst");
     let plan = FaultPlan::parse("io-error-burst@5:0:2, io-error-burst@7:1:3", 2, ROUNDS).unwrap();
-    let (results, storage) = disk_run(&dir, IngestMode::Batched, &plan);
+    let (results, storage) = disk_run(&dir, &plan);
     assert!(storage.degraded_commits >= 2, "outage commits served from the mirror");
     assert!(storage.heal_events >= 2, "both shards re-attached: {}", storage.heal_events);
-    assert_eq!(results, clean_run(IngestMode::Batched), "the outage changed results");
+    assert_eq!(results, clean_run(), "the outage changed results");
     // The heal backfilled the mirror-only records: full durability.
     assert_eq!(
-        cold_start_results(&dir, IngestMode::Batched),
+        cold_start_results(&dir),
         results,
         "degraded-era records were not backfilled"
     );
@@ -170,11 +166,11 @@ fn io_error_burst_degrades_heals_and_stays_bit_identical() {
 fn disk_full_outage_is_survived_and_healed() {
     let dir = temp_dir("full");
     let plan = FaultPlan::parse("disk-full@6:0:2", 2, ROUNDS).unwrap();
-    let (results, storage) = disk_run(&dir, IngestMode::Batched, &plan);
+    let (results, storage) = disk_run(&dir, &plan);
     assert!(storage.degraded_commits >= 1);
     assert!(storage.heal_events >= 1, "the shard re-attached after the outage");
-    assert_eq!(results, clean_run(IngestMode::Batched));
-    assert_eq!(cold_start_results(&dir, IngestMode::Batched), results);
+    assert_eq!(results, clean_run());
+    assert_eq!(cold_start_results(&dir), results);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -182,21 +178,23 @@ fn disk_full_outage_is_survived_and_healed() {
 fn slow_io_perturbs_timing_but_never_results() {
     let dir = temp_dir("slow");
     let plan = FaultPlan::parse("slow-io@3:0:25, slow-io@9:1:25", 2, ROUNDS).unwrap();
-    let (results, storage) = disk_run(&dir, IngestMode::Batched, &plan);
+    let (results, storage) = disk_run(&dir, &plan);
     assert_eq!(storage.degraded_commits, 0, "slowness is not failure");
-    assert_eq!(results, clean_run(IngestMode::Batched));
-    assert_eq!(cold_start_results(&dir, IngestMode::Batched), results);
+    assert_eq!(results, clean_run());
+    assert_eq!(cold_start_results(&dir), results);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn per_command_ingest_survives_io_faults_identically() {
-    let dir = temp_dir("percmd");
+fn late_io_faults_heal_and_match_lone_tenants() {
+    let dir = temp_dir("late");
     let plan =
         FaultPlan::parse("transient-io@9:0:2, io-error-burst@14:1:2", 2, ROUNDS).unwrap();
-    let (results, _) = disk_run(&dir, IngestMode::PerCommand, &plan);
-    assert_eq!(results, clean_run(IngestMode::PerCommand));
-    assert_eq!(cold_start_results(&dir, IngestMode::PerCommand), results);
+    let (results, storage) = disk_run(&dir, &plan);
+    assert!(storage.retries >= 2, "the late transient errors were retried");
+    assert!(storage.heal_events >= 1, "the late burst degraded and healed");
+    assert_eq!(results, clean_run());
+    assert_eq!(cold_start_results(&dir), results);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -210,14 +208,10 @@ fn random_io_plans_are_survivable_and_recoverable() {
         let dir = temp_dir(&format!("rand-{seed}"));
         let plan = FaultPlan::random_io(seed, 2, ROUNDS, 4);
         assert!(!plan.faults.is_empty(), "seed {seed} generated no faults");
-        let (results, _) = disk_run(&dir, IngestMode::Batched, &plan);
+        let (results, _) = disk_run(&dir, &plan);
         assert_eq!(results.len(), TENANTS as usize);
-        let mut sup = Supervisor::with_storage(
-            config(2, IngestMode::Batched),
-            &FaultPlan::none(),
-            disk_backend(&dir),
-        )
-        .unwrap();
+        let mut sup =
+            Supervisor::with_storage(config(2), &FaultPlan::none(), disk_backend(&dir)).unwrap();
         let stats = sup.stats().unwrap();
         assert!(stats.conserves_jobs(), "seed {seed}: recovered state conserves jobs");
         sup.finish().unwrap();

@@ -13,8 +13,8 @@ use rrs_analysis::runner::{run_kind, PolicyKind};
 use rrs_core::engine::run_policy;
 use rrs_offline::exhaustive_optimal;
 use rrs_service::{
-    DiskBackend, DiskConfig, FaultPlan, IngestMode, MemoryBackend, PolicySpec, StorageBackend,
-    Supervisor, SupervisorConfig, TenantSpec,
+    DiskBackend, DiskConfig, FaultPlan, MemoryBackend, PolicySpec, StorageBackend, Supervisor,
+    SupervisorConfig, Tenant, TenantSpec,
 };
 
 /// Strategy: a trace tiny enough for exhaustive search. Delay bounds stay in
@@ -113,30 +113,32 @@ fn tiny_service_workload() -> impl Strategy<Value = Vec<Vec<(u64, u32, u64)>>> {
     )
 }
 
+/// The service differential's three tenants: one per streaming policy.
+fn service_tenant_spec(id: u64) -> TenantSpec {
+    TenantSpec::new(
+        [PolicySpec::DlruEdf, PolicySpec::Edf, PolicySpec::Dlru][id as usize],
+        ColorTable::from_delay_bounds(&[2, 4]),
+        4,
+        2,
+    )
+}
+
 /// Runs one workload (outer = rounds, inner = submits) through a supervisor
 /// on `backend`, returning every tenant's final result plus each shard's
 /// snapshot — the full observable service state.
 fn drive_service(
     workload: &[Vec<(u64, u32, u64)>],
-    ingest: IngestMode,
     backend: Box<dyn StorageBackend>,
 ) -> (Vec<(u64, rrs_core::RunResult)>, Vec<rrs_service::ShardSnapshot>) {
     let config = SupervisorConfig {
         shards: 2,
         queue_capacity: 32,
         checkpoint_every: 3,
-        ingest,
         ..SupervisorConfig::default()
     };
     let mut sup = Supervisor::with_storage(config, &FaultPlan::none(), backend).unwrap();
     for id in 0u64..3 {
-        let spec = TenantSpec::new(
-            [PolicySpec::DlruEdf, PolicySpec::Edf, PolicySpec::Dlru][id as usize],
-            ColorTable::from_delay_bounds(&[2, 4]),
-            4,
-            2,
-        );
-        sup.add_tenant(id, spec).unwrap();
+        sup.add_tenant(id, service_tenant_spec(id)).unwrap();
     }
     for round in workload {
         for &(tenant, color, count) in round {
@@ -148,33 +150,45 @@ fn drive_service(
     (sup.finish().unwrap().into_iter().collect(), snapshots)
 }
 
+/// The oracle: each tenant's share of the workload through a lone tenant.
+fn lone_results(workload: &[Vec<(u64, u32, u64)>]) -> Vec<(u64, rrs_core::RunResult)> {
+    (0u64..3)
+        .map(|id| {
+            let mut t = Tenant::new(service_tenant_spec(id)).unwrap();
+            for round in workload {
+                for &(tenant, color, count) in round {
+                    if tenant == id {
+                        t.submit(&[(ColorId(color), count)]).unwrap();
+                    }
+                }
+                t.tick().unwrap();
+            }
+            (id, t.finish().unwrap())
+        })
+        .collect()
+}
+
 proptest! {
     // Each case spins real worker threads and disk I/O; keep the count low.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Storage-backend differential: on any workload, the disk backend's
     /// observable service state (snapshots and final results) is
-    /// bit-identical to the in-memory oracle's, for both ingest modes.
+    /// bit-identical to the in-memory run's, and both runs' results equal
+    /// lone tenants fed the same arrivals.
     #[test]
-    fn service_state_is_identical_across_backends(
-        workload in tiny_service_workload(),
-        batched in prop_oneof![Just(true), Just(false)],
-    ) {
-        let ingest = if batched { IngestMode::Batched } else { IngestMode::PerCommand };
+    fn service_state_is_identical_across_backends(workload in tiny_service_workload()) {
         let dir = std::env::temp_dir().join(format!(
             "rrs-diff-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let memory = drive_service(&workload, ingest, Box::new(MemoryBackend::new()));
-        let disk = drive_service(
-            &workload,
-            ingest,
-            Box::new(DiskBackend::new(DiskConfig::new(&dir))),
-        );
+        let memory = drive_service(&workload, Box::new(MemoryBackend::new()));
+        let disk = drive_service(&workload, Box::new(DiskBackend::new(DiskConfig::new(&dir))));
         prop_assert_eq!(&memory.0, &disk.0, "final results diverge across backends");
         prop_assert_eq!(&memory.1, &disk.1, "shard snapshots diverge across backends");
+        prop_assert_eq!(&memory.0, &lone_results(&workload), "service diverged from lone tenants");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -7,8 +7,8 @@ use rrs::offline::{optimal, OptConfig};
 use rrs::prelude::*;
 use rrs_analysis::runner::{run_kind, PolicyKind};
 use rrs_service::{
-    DiskBackend, DiskConfig, FaultPlan, IngestMode, MemoryBackend, PolicySpec, StorageBackend,
-    Supervisor, SupervisorConfig, TenantSpec,
+    DiskBackend, DiskConfig, FaultPlan, MemoryBackend, PolicySpec, StorageBackend, Supervisor,
+    SupervisorConfig, TenantSpec,
 };
 use std::collections::BTreeMap;
 
@@ -156,7 +156,6 @@ fn service_results(backend: Box<dyn StorageBackend>) -> BTreeMap<u64, rrs_core::
         shards: 2,
         queue_capacity: 64,
         checkpoint_every: 4,
-        ingest: IngestMode::Batched,
         ..SupervisorConfig::default()
     };
     let mut sup = Supervisor::with_storage(config, &FaultPlan::none(), backend).unwrap();
