@@ -16,10 +16,31 @@
 //! the adaptive split matching the fixed one on the paper's adversaries while
 //! improving on skewed mixes.
 
-use crate::ranking::{RankIndex, RecencyIndex};
-use crate::state::BatchState;
+use crate::ranking::{refresh_both, refresh_recency, RankIndex, RecencyIndex};
+use crate::state::{BatchSnapshot, BatchState};
+use rrs_core::engine::decode_state;
 use rrs_core::prelude::*;
+use serde::{Deserialize, Serialize, Value};
 use std::collections::{BTreeMap, BTreeSet};
+
+/// What [`AdaptiveDlruEdf`] carries from one round to the next (its
+/// [`Policy::save_state`]): the shared batch state and cached set plus the
+/// adaptation's own scalars. The LRU set and both indexes are rebuilt.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct AdaptiveState {
+    /// The shared per-color state machine.
+    pub batch: BatchSnapshot,
+    /// The cached colors (each held twice).
+    pub cached: BTreeSet<ColorId>,
+    /// The current LRU quota, in `[1, capacity − 1]`.
+    pub lru_quota: usize,
+    /// Round of each color's most recent eviction.
+    pub evicted_at: BTreeMap<ColorId, Round>,
+    /// Thrash signals fired so far.
+    pub thrash_signals: u64,
+    /// Starvation signals fired so far.
+    pub starve_signals: u64,
+}
 
 /// ΔLRU-EDF with a self-tuning LRU/EDF capacity split.
 #[derive(Debug, Clone)]
@@ -77,17 +98,9 @@ impl AdaptiveDlruEdf {
     /// Re-derives both indices' entries for the most recent phase's touched
     /// colors (eligibility, timestamps and deadlines only change there).
     fn refresh_touched(&mut self, pending: &PendingJobs) {
-        let (state, recency, rank, cached) = (
-            &self.state,
-            &mut self.recency,
-            &mut self.rank,
-            &self.cached,
-        );
-        for &c in state.touched() {
-            let s = state.color(c);
-            recency.refresh(c, s.eligible.then(|| (s.timestamp, cached.contains(&c))));
-            rank.refresh(state, pending, c);
-        }
+        let (state, cached) = (&self.state, &self.cached);
+        let touched = state.touched();
+        refresh_both(state, &mut self.recency, &mut self.rank, cached, pending, touched);
     }
 
     /// Diagnostic: how often each adaptation signal fired.
@@ -201,18 +214,46 @@ impl Policy for AdaptiveDlruEdf {
 
         // The cached-first tie-break is part of the recency key: re-derive the
         // entries of every color whose membership changed.
-        let (state, recency, cached, changed) = (
-            &self.state,
-            &mut self.recency,
-            &self.cached,
-            &self.changed,
-        );
-        for &c in changed {
-            let s = state.color(c);
-            recency.refresh(c, s.eligible.then(|| (s.timestamp, cached.contains(&c))));
-        }
+        refresh_recency(&self.state, &mut self.recency, &self.cached, &self.changed);
 
         CacheTarget::replicated(self.cached.iter().copied(), 2)
+    }
+
+    fn save_state(&self) -> Value {
+        AdaptiveState {
+            batch: self.state.save(),
+            cached: self.cached.clone(),
+            lru_quota: self.lru_quota,
+            evicted_at: self.evicted_at.clone(),
+            thrash_signals: self.thrash_signals,
+            starve_signals: self.starve_signals,
+        }
+        .to_value()
+    }
+
+    fn load_state(&mut self, state: &Value, view: &EngineView) -> Result<()> {
+        let saved: AdaptiveState = decode_state(&self.name(), state)?;
+        let capacity = self.capacity();
+        if !(1..capacity).contains(&saved.lru_quota)
+            || saved.evicted_at.keys().any(|c| c.index() >= view.colors.len())
+        {
+            return Err(Error::CorruptSnapshot(format!(
+                "adaptive LRU quota {} outside [1, {}] or eviction record of an unknown color",
+                saved.lru_quota,
+                capacity - 1
+            )));
+        }
+        self.state.load(saved.batch)?;
+        self.state.check_cached(&saved.cached, 2, view.cache)?;
+        self.cached = saved.cached;
+        self.lru_quota = saved.lru_quota;
+        self.evicted_at = saved.evicted_at;
+        self.thrash_signals = saved.thrash_signals;
+        self.starve_signals = saved.starve_signals;
+        let all: Vec<ColorId> = view.colors.ids().collect();
+        let (state, cached) = (&self.state, &self.cached);
+        refresh_both(state, &mut self.recency, &mut self.rank, cached, view.pending, &all);
+        Ok(())
     }
 }
 

@@ -17,7 +17,9 @@
 //! Foreground (short-delay) categories are served EDF-style; the strategies
 //! differ only in when they hand spare capacity to the background category.
 
+use rrs_core::engine::decode_state;
 use rrs_core::prelude::*;
+use serde::{Serialize, Value};
 
 /// Splits colors into foreground (small delay bound) and background (the
 /// color with the largest delay bound).
@@ -145,6 +147,16 @@ impl Policy for PatientBackground {
             self.idle_streak = 0;
         }
         allocate(view, round, bg, self.idle_streak > self.patience)
+    }
+
+    /// Saves the idle streak; the patience comes from construction.
+    fn save_state(&self) -> Value {
+        self.idle_streak.to_value()
+    }
+
+    fn load_state(&mut self, state: &Value, _view: &EngineView) -> Result<()> {
+        self.idle_streak = decode_state(&self.name(), state)?;
+        Ok(())
     }
 }
 

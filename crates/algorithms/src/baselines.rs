@@ -6,8 +6,22 @@
 //! utilization, heavy thrashing). ΔLRU-EDF must beat both on adversarial mixes.
 
 use crate::ranking::{colors_by_pending, NonidleSet};
+use rrs_core::engine::{decode_state, expect_no_state};
 use rrs_core::prelude::*;
+use serde::{Serialize, Value};
 use std::cmp::Reverse;
+
+/// Refuses a saved `target` unless the restored cache holds exactly it.
+fn check_cache(policy: &str, target: &CacheTarget, view: &EngineView) -> Result<()> {
+    if view.cache.content() == target {
+        Ok(())
+    } else {
+        Err(Error::CorruptSnapshot(format!(
+            "{policy} expects the cache {target:?}, found {:?}",
+            view.cache.content()
+        )))
+    }
+}
 
 /// Statically partitions the `n` resources over all colors round-robin at round
 /// 0 and never reconfigures again.
@@ -42,6 +56,20 @@ impl Policy for StaticPartition {
     fn reconfigure(&mut self, _round: Round, _mini: u32, _view: &EngineView) -> CacheTarget {
         self.configured = true;
         self.target.clone()
+    }
+
+    /// Saves the `configured` flag; the partition itself follows from the
+    /// color table and `n`.
+    fn save_state(&self) -> Value {
+        self.configured.to_value()
+    }
+
+    fn load_state(&mut self, state: &Value, view: &EngineView) -> Result<()> {
+        let configured: bool = decode_state(&self.name(), state)?;
+        let expect = if configured { self.target.clone() } else { CacheTarget::empty() };
+        check_cache(&self.name(), &expect, view)?;
+        self.configured = configured;
+        Ok(())
     }
 }
 
@@ -80,6 +108,18 @@ impl Policy for NeverReconfigure {
         }
         self.target = Some(target.clone());
         target
+    }
+
+    /// Saves the configured target (`Null` before the first configuration).
+    fn save_state(&self) -> Value {
+        self.target.to_value()
+    }
+
+    fn load_state(&mut self, state: &Value, view: &EngineView) -> Result<()> {
+        let target: Option<CacheTarget> = decode_state(&self.name(), state)?;
+        check_cache(&self.name(), target.as_ref().unwrap_or(&CacheTarget::empty()), view)?;
+        self.target = target;
+        Ok(())
     }
 }
 
@@ -185,6 +225,16 @@ impl Policy for GreedyPending {
             }
         }
         target
+    }
+
+    /// Greedy carries nothing between rounds: the nonidle set is rebuilt
+    /// from the restored pending jobs.
+    fn load_state(&mut self, state: &Value, view: &EngineView) -> Result<()> {
+        expect_no_state(&self.name(), state)?;
+        for c in view.colors.ids() {
+            self.nonidle.refresh(view.pending, c);
+        }
+        Ok(())
     }
 }
 

@@ -11,9 +11,11 @@
 //! but idle short-term colors while a long-term color with an enormous backlog
 //! starves. The Appendix A adversary in `rrs-workloads` exhibits exactly this.
 
-use crate::ranking::RecencyIndex;
-use crate::state::BatchState;
+use crate::ranking::{refresh_recency, RecencyIndex};
+use crate::state::{BatchState, CachedBatchState};
+use rrs_core::engine::decode_state;
 use rrs_core::prelude::*;
+use serde::{Serialize, Value};
 use std::collections::BTreeSet;
 
 /// The standalone ΔLRU policy.
@@ -67,11 +69,8 @@ impl Dlru {
     /// Re-derives the recency entries of the most recent phase's touched
     /// colors (eligibility and timestamps only change there).
     fn refresh_touched(&mut self) {
-        let (state, recency, cached) = (&self.state, &mut self.recency, &self.cached);
-        for &c in state.touched() {
-            let s = state.color(c);
-            recency.refresh(c, s.eligible.then(|| (s.timestamp, cached.contains(&c))));
-        }
+        let state = &self.state;
+        refresh_recency(state, &mut self.recency, &self.cached, state.touched());
     }
 
     /// Number of distinct colors the cache holds.
@@ -121,13 +120,23 @@ impl Policy for Dlru {
         self.cached = new_cached;
         // The cached-first tie-break is part of the recency key: re-derive the
         // entries of every color whose membership changed.
-        let (state, recency, cached, changed) =
-            (&self.state, &mut self.recency, &self.cached, &self.changed);
-        for &c in changed {
-            let s = state.color(c);
-            recency.refresh(c, s.eligible.then(|| (s.timestamp, cached.contains(&c))));
-        }
+        refresh_recency(&self.state, &mut self.recency, &self.cached, &self.changed);
         CacheTarget::replicated(self.cached.iter().copied(), self.replication)
+    }
+
+    /// Saves a [`CachedBatchState`]; the recency index is rebuilt on load.
+    fn save_state(&self) -> Value {
+        CachedBatchState { batch: self.state.save(), cached: self.cached.clone() }.to_value()
+    }
+
+    fn load_state(&mut self, state: &Value, view: &EngineView) -> Result<()> {
+        let saved: CachedBatchState = decode_state(&self.name(), state)?;
+        self.state.load(saved.batch)?;
+        self.state.check_cached(&saved.cached, self.replication, view.cache)?;
+        self.cached = saved.cached;
+        let all: Vec<ColorId> = view.colors.ids().collect();
+        refresh_recency(&self.state, &mut self.recency, &self.cached, &all);
+        Ok(())
     }
 }
 

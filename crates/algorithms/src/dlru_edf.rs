@@ -20,9 +20,11 @@
 //! `[Δ | 1 | D_ℓ | D_ℓ]` sequence (power-of-two delay bounds) is within a
 //! constant factor of an optimal offline schedule using `m` resources.
 
-use crate::ranking::{RankIndex, RecencyIndex};
-use crate::state::BatchState;
+use crate::ranking::{refresh_both, refresh_recency, RankIndex, RecencyIndex};
+use crate::state::{BatchState, CachedBatchState};
+use rrs_core::engine::decode_state;
 use rrs_core::prelude::*;
+use serde::{Serialize, Value};
 use std::collections::BTreeSet;
 
 /// Tuning knobs for ablation studies (the defaults are the paper's algorithm).
@@ -136,17 +138,9 @@ impl DlruEdf {
     /// Re-derives both indices' entries for the most recent phase's touched
     /// colors (eligibility, timestamps and deadlines only change there).
     fn refresh_touched(&mut self, pending: &PendingJobs) {
-        let (state, recency, rank, cached) = (
-            &self.state,
-            &mut self.recency,
-            &mut self.rank,
-            &self.cached,
-        );
-        for &c in state.touched() {
-            let s = state.color(c);
-            recency.refresh(c, s.eligible.then(|| (s.timestamp, cached.contains(&c))));
-            rank.refresh(state, pending, c);
-        }
+        let (state, cached) = (&self.state, &self.cached);
+        let touched = state.touched();
+        refresh_both(state, &mut self.recency, &mut self.rank, cached, pending, touched);
     }
 
     /// Distinct colors in the LRU set.
@@ -267,18 +261,26 @@ impl Policy for DlruEdf {
 
         // The cached-first tie-break is part of the recency key: re-derive the
         // entries of every color whose membership changed.
-        let (state, recency, cached, changed) = (
-            &self.state,
-            &mut self.recency,
-            &self.cached,
-            &self.changed,
-        );
-        for &c in changed {
-            let s = state.color(c);
-            recency.refresh(c, s.eligible.then(|| (s.timestamp, cached.contains(&c))));
-        }
+        refresh_recency(&self.state, &mut self.recency, &self.cached, &self.changed);
 
         CacheTarget::replicated(self.cached.iter().copied(), self.config.replication)
+    }
+
+    /// Saves a [`CachedBatchState`]; the LRU set and both indexes are
+    /// rebuilt on load.
+    fn save_state(&self) -> Value {
+        CachedBatchState { batch: self.state.save(), cached: self.cached.clone() }.to_value()
+    }
+
+    fn load_state(&mut self, state: &Value, view: &EngineView) -> Result<()> {
+        let saved: CachedBatchState = decode_state(&self.name(), state)?;
+        self.state.load(saved.batch)?;
+        self.state.check_cached(&saved.cached, self.config.replication, view.cache)?;
+        self.cached = saved.cached;
+        let all: Vec<ColorId> = view.colors.ids().collect();
+        let (state, cached) = (&self.state, &self.cached);
+        refresh_both(state, &mut self.recency, &mut self.rank, cached, view.pending, &all);
+        Ok(())
     }
 }
 

@@ -10,9 +10,26 @@
 //! exists for the E17 ablation.
 
 use crate::ranking::RecencyIndex;
-use crate::state::BatchState;
+use crate::state::{BatchSnapshot, BatchState};
+use rrs_core::engine::decode_state;
 use rrs_core::prelude::*;
+use serde::{Deserialize, Serialize, Value};
 use std::collections::{BTreeSet, VecDeque};
+
+/// What [`DlruK`] carries from one round to the next (its
+/// [`Policy::save_state`]): the shared batch state and cached set plus the
+/// per-color wrap history. The recency index is rebuilt.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct DlruKState {
+    /// The shared per-color state machine.
+    pub batch: BatchSnapshot,
+    /// The cached colors (each held twice).
+    pub cached: BTreeSet<ColorId>,
+    /// Per color, its last K qualifying wrap rounds, most recent first.
+    pub history: Vec<VecDeque<Round>>,
+    /// Per color, the last wrap round already folded into `history`.
+    pub folded: Vec<Option<Round>>,
+}
 
 /// The ΔLRU-K policy.
 #[derive(Debug, Clone)]
@@ -75,21 +92,8 @@ impl DlruK {
     /// Re-derives the recency entries of the most recent phase's touched
     /// colors (eligibility and timestamps only change there).
     fn refresh_touched(&mut self) {
-        let (state, recency, cached, history, k) = (
-            &self.state,
-            &mut self.recency,
-            &self.cached,
-            &self.history,
-            self.k,
-        );
-        for &c in state.touched() {
-            let s = state.color(c);
-            recency.refresh(
-                c,
-                s.eligible
-                    .then(|| (kth(history, k, c), cached.contains(&c))),
-            );
-        }
+        let touched = self.state.touched();
+        refresh_kth(&self.state, &mut self.recency, &self.cached, &self.history, self.k, touched);
     }
 
     /// Instrumented per-color state.
@@ -143,23 +147,59 @@ impl Policy for DlruK {
         self.cached = new_cached;
         // The cached-first tie-break is part of the recency key: re-derive the
         // entries of every color whose membership changed.
-        let (state, recency, cached, history, k, changed) = (
-            &self.state,
-            &mut self.recency,
-            &self.cached,
-            &self.history,
-            self.k,
-            &self.changed,
-        );
-        for &c in changed {
-            let s = state.color(c);
-            recency.refresh(
-                c,
-                s.eligible
-                    .then(|| (kth(history, k, c), cached.contains(&c))),
-            );
-        }
+        let changed = &self.changed;
+        refresh_kth(&self.state, &mut self.recency, &self.cached, &self.history, self.k, changed);
         CacheTarget::replicated(self.cached.iter().copied(), 2)
+    }
+
+    fn save_state(&self) -> Value {
+        DlruKState {
+            batch: self.state.save(),
+            cached: self.cached.clone(),
+            history: self.history.clone(),
+            folded: self.folded.clone(),
+        }
+        .to_value()
+    }
+
+    fn load_state(&mut self, state: &Value, view: &EngineView) -> Result<()> {
+        let saved: DlruKState = decode_state(&self.name(), state)?;
+        let ncolors = view.colors.len();
+        if saved.history.len() != ncolors
+            || saved.folded.len() != ncolors
+            || saved.history.iter().any(|h| h.len() > self.k)
+        {
+            return Err(Error::CorruptSnapshot(format!(
+                "ΔLRU-{} history covers {}/{} colors (table {ncolors}) or exceeds K",
+                self.k,
+                saved.history.len(),
+                saved.folded.len()
+            )));
+        }
+        self.state.load(saved.batch)?;
+        self.state.check_cached(&saved.cached, 2, view.cache)?;
+        self.cached = saved.cached;
+        self.history = saved.history;
+        self.folded = saved.folded;
+        let all: Vec<ColorId> = view.colors.ids().collect();
+        refresh_kth(&self.state, &mut self.recency, &self.cached, &self.history, self.k, &all);
+        Ok(())
+    }
+}
+
+/// Re-derives the recency entries of `colors` from their eligibility,
+/// K-th timestamp and cached membership.
+fn refresh_kth(
+    state: &BatchState,
+    recency: &mut RecencyIndex,
+    cached: &BTreeSet<ColorId>,
+    history: &[VecDeque<Round>],
+    k: usize,
+    colors: &[ColorId],
+) {
+    for &c in colors {
+        let s = state.color(c);
+        recency.refresh(c, s.eligible.then(|| (kth(history, k, c), cached.contains(&c))));
     }
 }
 

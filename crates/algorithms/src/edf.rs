@@ -15,8 +15,10 @@
 //! on a double-speed engine gives DS-Seq-EDF.
 
 use crate::ranking::{rank_key, GroupRankIndex};
-use crate::state::BatchState;
+use crate::state::{BatchState, CachedBatchState};
+use rrs_core::engine::decode_state;
 use rrs_core::prelude::*;
+use serde::{Serialize, Value};
 use std::collections::BTreeSet;
 
 /// The EDF policy family (EDF and Seq-EDF).
@@ -150,6 +152,21 @@ impl Policy for Edf {
             self.cached.remove(&worst);
         }
         CacheTarget::replicated(self.cached.iter().copied(), self.replication)
+    }
+
+    /// Saves a [`CachedBatchState`]; the group rank index is rebuilt on
+    /// load.
+    fn save_state(&self) -> Value {
+        CachedBatchState { batch: self.state.save(), cached: self.cached.clone() }.to_value()
+    }
+
+    fn load_state(&mut self, state: &Value, view: &EngineView) -> Result<()> {
+        let saved: CachedBatchState = decode_state(&self.name(), state)?;
+        self.state.load(saved.batch)?;
+        self.state.check_cached(&saved.cached, self.replication, view.cache)?;
+        self.cached = saved.cached;
+        self.rank.refresh_many(&self.state, view.pending, view.colors.ids());
+        Ok(())
     }
 }
 

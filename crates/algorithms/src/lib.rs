@@ -18,6 +18,13 @@
 //! analysis: epochs, super-epochs, timestamp update events, and the
 //! eligible/ineligible drop split.
 //!
+//! Every policy the service runs saves the state it carries between rounds
+//! as plain serde data ([`rrs_core::Policy::save_state`]): the batched
+//! policies a [`CachedBatchState`] (or [`AdaptiveState`] / [`DlruKState`]
+//! with their extra scalars), the baselines a flag, a target or a streak.
+//! Its size is O(colors) however long the run, and loading it rebuilds the
+//! rank indexes instead of storing them.
+//!
 //! The live policies select from incrementally-maintained rank indices
 //! ([`ranking::RankIndex`], [`ranking::RecencyIndex`],
 //! [`ranking::PendingCountIndex`]); [`reference`] retains the original
@@ -39,15 +46,15 @@ pub mod ranking;
 pub mod reference;
 pub mod state;
 
-pub use adaptive::AdaptiveDlruEdf;
+pub use adaptive::{AdaptiveDlruEdf, AdaptiveState};
 pub use background::{EagerBackground, PatientBackground};
 pub use baselines::{GreedyPending, NeverReconfigure, StaticPartition};
-pub use dlru_k::DlruK;
+pub use dlru_k::{DlruK, DlruKState};
 pub use dlru::Dlru;
 pub use dlru_edf::{DlruEdf, DlruEdfConfig};
 pub use edf::Edf;
 pub use par_edf::{is_nice, par_edf, ParEdfResult};
-pub use state::{BatchState, ColorState};
+pub use state::{BatchSnapshot, BatchState, CachedBatchState, ColorState};
 
 /// Convenience re-exports.
 pub mod prelude {

@@ -393,6 +393,35 @@ impl RecencyIndex {
     }
 }
 
+/// Re-derives the [`RecencyIndex`] and [`RankIndex`] entries of `colors` —
+/// the refresh ΔLRU-EDF and its adaptive variant run after every phase, and
+/// over every color when they load a saved state.
+pub(crate) fn refresh_both(
+    state: &BatchState,
+    recency: &mut RecencyIndex,
+    rank: &mut RankIndex,
+    cached: &BTreeSet<ColorId>,
+    pending: &PendingJobs,
+    colors: &[ColorId],
+) {
+    refresh_recency(state, recency, cached, colors);
+    rank.refresh_many(state, pending, colors.iter().copied());
+}
+
+/// Re-derives the [`RecencyIndex`] entries of `colors` from their
+/// eligibility, timestamp and cached membership.
+pub(crate) fn refresh_recency(
+    state: &BatchState,
+    recency: &mut RecencyIndex,
+    cached: &BTreeSet<ColorId>,
+    colors: &[ColorId],
+) {
+    for &c in colors {
+        let s = state.color(c);
+        recency.refresh(c, s.eligible.then(|| (s.timestamp, cached.contains(&c))));
+    }
+}
+
 /// A pending-backlog key: largest pending count first, ties by ascending color
 /// id — the greedy baselines' selection order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]

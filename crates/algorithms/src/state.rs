@@ -17,10 +17,11 @@
 //! the eligible/ineligible drop classification of Lemma 3.2/3.4.
 
 use rrs_core::prelude::*;
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Mutable per-color state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ColorState {
     /// Delay bound `D_ℓ` (cached from the color table).
     pub delay_bound: u64,
@@ -85,9 +86,6 @@ pub struct BatchState {
     /// (sorted, deduplicated). Policies feed this delta into their incremental
     /// indexes instead of rescanning all colors.
     touched: Vec<ColorId>,
-    /// Arrival batches classified as ineligible (their jobs will be dropped
-    /// while the color is ineligible), recorded as `(round, color, count)`.
-    ineligible_batches: Vec<(Round, ColorId, u64)>,
     /// Super-epoch tracker threshold (`2m` in the analysis); 0 disables tracking.
     super_epoch_threshold: usize,
     super_epoch_updated: BTreeSet<ColorId>,
@@ -114,7 +112,6 @@ impl BatchState {
                 .collect(),
             groups: by_bound.into_iter().collect(),
             touched: Vec::new(),
-            ineligible_batches: Vec::new(),
             super_epoch_threshold: 0,
             super_epoch_updated: BTreeSet::new(),
             super_epochs_completed: 0,
@@ -261,12 +258,6 @@ impl BatchState {
                     s.became_eligible += 1;
                 }
             }
-            // Lemma 3.2/3.4 classification: a batch whose color is (still)
-            // ineligible at the end of the arrival phase will be dropped while
-            // ineligible — eligibility cannot change before its deadline.
-            if !s.eligible {
-                self.ineligible_batches.push((round, id, count));
-            }
             self.touched.push(id);
         }
         self.touched.sort_unstable();
@@ -296,22 +287,113 @@ impl BatchState {
         self.colors.iter().map(|s| s.ts_updates).sum()
     }
 
-    /// The *eligible subsequence* α of `trace`: the trace minus every arrival
-    /// batch whose jobs were classified ineligible (used to drive the Lemma 3.2
-    /// chain DS-Seq-EDF(α) / Par-EDF(α) experiments).
-    pub fn eligible_subsequence(&self, trace: &Trace) -> Trace {
-        let mut removed: std::collections::BTreeMap<(Round, ColorId), u64> = Default::default();
-        for &(r, c, k) in &self.ineligible_batches {
-            *removed.entry((r, c)).or_insert(0) += k;
+    /// Captures the state carried between rounds (see [`BatchSnapshot`]).
+    pub(crate) fn save(&self) -> BatchSnapshot {
+        BatchSnapshot {
+            colors: self.colors.clone(),
+            super_epoch_threshold: self.super_epoch_threshold,
+            super_epoch_updated: self.super_epoch_updated.clone(),
+            super_epochs_completed: self.super_epochs_completed,
         }
-        let mut out = Trace::new(trace.colors().clone());
-        for a in trace.iter() {
-            let cut = removed.get(&(a.round, a.color)).copied().unwrap_or(0);
-            let keep = a.count.saturating_sub(cut);
-            out.add(a.round, a.color, keep).expect("same color table");
-        }
-        out
     }
+
+    /// Loads a [`BatchSnapshot`] into state built for the same color table
+    /// and Δ, after checking it: one entry per color with that color's
+    /// delay bound, every counter below Δ, and a super-epoch residue of
+    /// table colors smaller than its threshold.
+    ///
+    /// # Errors
+    /// [`Error::CorruptSnapshot`] naming the first violation.
+    pub(crate) fn load(&mut self, snap: BatchSnapshot) -> Result<()> {
+        if snap.colors.len() != self.colors.len() {
+            return Err(Error::CorruptSnapshot(format!(
+                "batch state covers {} colors, the table has {}",
+                snap.colors.len(),
+                self.colors.len()
+            )));
+        }
+        for (i, (saved, own)) in snap.colors.iter().zip(&self.colors).enumerate() {
+            if saved.delay_bound != own.delay_bound || saved.cnt >= self.delta {
+                return Err(Error::CorruptSnapshot(format!(
+                    "color c{i}: delay bound {} (table {}), counter {} (Δ = {})",
+                    saved.delay_bound, own.delay_bound, saved.cnt, self.delta
+                )));
+            }
+        }
+        let residue = &snap.super_epoch_updated;
+        if residue.iter().any(|c| c.index() >= self.colors.len())
+            || (snap.super_epoch_threshold > 0 && residue.len() >= snap.super_epoch_threshold)
+            || (snap.super_epoch_threshold == 0 && !residue.is_empty())
+        {
+            return Err(Error::CorruptSnapshot(format!(
+                "super-epoch residue {residue:?} with threshold {}",
+                snap.super_epoch_threshold
+            )));
+        }
+        self.colors = snap.colors;
+        self.super_epoch_threshold = snap.super_epoch_threshold;
+        self.super_epoch_updated = snap.super_epoch_updated;
+        self.super_epochs_completed = snap.super_epochs_completed;
+        self.touched.clear();
+        Ok(())
+    }
+
+    /// Checks a batched policy's saved cached set against this (loaded)
+    /// state and the restored engine cache: the cache must hold exactly
+    /// `replication` copies of each cached color and nothing else — which
+    /// bounds the set by the capacity and the color table — and every
+    /// cached color must be eligible, since ineligibility only ever strikes
+    /// uncached colors.
+    ///
+    /// # Errors
+    /// [`Error::CorruptSnapshot`] naming the violation.
+    pub(crate) fn check_cached(
+        &self,
+        cached: &BTreeSet<ColorId>,
+        replication: u32,
+        cache: &CacheState,
+    ) -> Result<()> {
+        if cache.content() != &CacheTarget::replicated(cached.iter().copied(), replication) {
+            return Err(Error::CorruptSnapshot(format!(
+                "cached set {cached:?} (×{replication}) disagrees with the cache {:?}",
+                cache.content()
+            )));
+        }
+        if let Some(c) = cached
+            .iter()
+            .find(|c| c.index() >= self.colors.len() || !self.colors[c.index()].eligible)
+        {
+            return Err(Error::CorruptSnapshot(format!("cached color {c} is not eligible")));
+        }
+        Ok(())
+    }
+}
+
+/// The part of a [`BatchState`] that carries from one round to the next:
+/// every color's [`ColorState`] and the super-epoch tracker. The color
+/// groups and the `touched` delta are rebuilt or transient and never saved.
+/// Its size is O(colors) however long the run.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct BatchSnapshot {
+    /// Per-color state, indexed by color id.
+    pub colors: Vec<ColorState>,
+    /// Super-epoch tracker threshold (0 = tracking off).
+    pub super_epoch_threshold: usize,
+    /// Colors whose timestamps increased in the current super-epoch.
+    pub super_epoch_updated: BTreeSet<ColorId>,
+    /// Completed super-epochs.
+    pub super_epochs_completed: u64,
+}
+
+/// The saved state of a batched policy that carries nothing besides its
+/// [`BatchState`] and its cached set (ΔLRU, EDF and ΔLRU-EDF; see
+/// [`rrs_core::Policy::save_state`]).
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct CachedBatchState {
+    /// The shared per-color state machine.
+    pub batch: BatchSnapshot,
+    /// The cached colors (each held `replication` times in the cache).
+    pub cached: BTreeSet<ColorId>,
 }
 
 #[cfg(test)]
@@ -421,18 +503,36 @@ mod tests {
     }
 
     #[test]
-    fn eligible_subsequence_removes_ineligible_batches() {
-        let trace = TraceBuilder::with_delay_bounds(&[4])
-            .jobs(0, 0, 2) // ineligible (below Δ=3)
-            .jobs(4, 0, 4) // wraps: eligible
-            .build();
-        let mut st = BatchState::new(trace.colors(), 3);
-        st.arrival_phase(0, &trace.arrivals_at(0));
-        st.drop_phase(4, &[(c(0), 2)], NOT_CACHED);
-        st.arrival_phase(4, &trace.arrivals_at(4));
-        let alpha = st.eligible_subsequence(&trace);
-        assert_eq!(alpha.jobs_of_color(c(0)), 4);
-        assert_eq!(alpha.arrivals_at(0), vec![]);
+    fn save_load_round_trips_and_load_checks_the_state() {
+        let t = table(&[2, 4]);
+        let mut st = BatchState::new(&t, 3);
+        st.track_super_epochs(2);
+        st.arrival_phase(0, &[(c(0), 4), (c(1), 1)]);
+        st.drop_phase(2, &[], NOT_CACHED);
+        st.arrival_phase(2, &[(c(0), 3)]);
+        let saved = st.save();
+        let mut fresh = BatchState::new(&t, 3);
+        fresh.load(saved.clone()).unwrap();
+        assert_eq!(fresh.save(), saved);
+        assert_eq!(fresh.color(c(0)), st.color(c(0)));
+
+        let tampers: [fn(&mut BatchSnapshot); 4] = [
+            |s| s.colors[1].cnt = 3,          // counter not below Δ
+            |s| s.colors[0].delay_bound = 4,  // not the table's bound
+            |s| s.colors.truncate(1),         // wrong arity
+            |s| {
+                s.super_epoch_updated.insert(ColorId(0));
+                s.super_epoch_updated.insert(ColorId(1)); // residue at threshold
+            },
+        ];
+        for (i, tamper) in tampers.iter().enumerate() {
+            let mut bad = saved.clone();
+            tamper(&mut bad);
+            assert!(
+                matches!(BatchState::new(&t, 3).load(bad), Err(Error::CorruptSnapshot(_))),
+                "tamper {i} went unnoticed"
+            );
+        }
     }
 
     #[test]

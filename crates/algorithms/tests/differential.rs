@@ -206,12 +206,15 @@ impl<P: Policy> Policy for Shared<P> {
     fn reconfigure(&mut self, round: Round, mini: u32, view: &EngineView) -> CacheTarget {
         self.0.lock().unwrap().reconfigure(round, mini, view)
     }
+    fn save_state(&self) -> serde::Value {
+        self.0.lock().unwrap().save_state()
+    }
 }
 
-/// Snapshot/restore mid-run: an optimized (index-carrying) policy cloned at
-/// the cut plus the engine snapshot must continue bit-identically — i.e. the
-/// incremental indices are part of the policy's cloneable state and survive
-/// the cut without drifting from a straight-through run.
+/// Snapshot/restore mid-run: a fresh optimized (index-carrying) policy that
+/// loads the snapshot's saved state must continue bit-identically — i.e. the
+/// incremental indices it rebuilds from that state agree with the ones a
+/// straight-through run maintained, and agree with a clone taken at the cut.
 #[test]
 fn snapshot_restore_mid_run_is_bit_identical() {
     // Deterministic LCG-driven arrival schedule, 48 rounds, 6 colors.
@@ -260,20 +263,21 @@ fn snapshot_restore_mid_run_is_bit_identical() {
         }
         let full_result = full.finish().unwrap();
 
-        // Restored run: engine snapshot + policy clone, then the same tail.
-        let mut resumed = StreamingEngine::restore(
-            table.clone(),
-            Box::new(policy_at_cut.unwrap()),
-            snap.unwrap(),
-        )
-        .unwrap();
-        for row in per_round.iter().skip(cut) {
-            resumed.step(row).unwrap();
+        // Restored runs: the engine snapshot into a fresh policy and into
+        // the policy cloned at the cut, then the same tail.
+        let snap = snap.unwrap();
+        let fresh = DlruEdf::new(&table, n, delta).unwrap();
+        for policy in [fresh, policy_at_cut.take().unwrap()] {
+            let mut resumed =
+                StreamingEngine::restore(table.clone(), Box::new(policy), snap.clone()).unwrap();
+            for row in per_round.iter().skip(cut) {
+                resumed.step(row).unwrap();
+            }
+            let resumed_result = resumed.finish().unwrap();
+            assert_eq!(
+                full_result, resumed_result,
+                "restored run diverged (cut at round {cut})"
+            );
         }
-        let resumed_result = resumed.finish().unwrap();
-        assert_eq!(
-            full_result, resumed_result,
-            "restored run diverged (cut at round {cut})"
-        );
     }
 }

@@ -110,6 +110,61 @@ pub fn e5_lemma34(opts: ExpOptions) -> ExpReport {
     }
 }
 
+/// ΔLRU-EDF plus a record of its ineligible arrival batches, for E6.
+///
+/// Lemma 3.2/3.4's classification: a batch whose color is still ineligible
+/// at the end of the arrival phase will be dropped while ineligible —
+/// eligibility cannot change before its deadline. A color's eligibility
+/// changes only at its own arrival entry, so reading it once the phase is
+/// over classifies each batch exactly as the state machine saw it.
+struct BatchRecorder {
+    inner: DlruEdf,
+    /// Ineligible batches as `(round, color, count)`.
+    ineligible: Vec<(Round, ColorId, u64)>,
+}
+
+impl Policy for BatchRecorder {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+
+    fn on_drop_phase(&mut self, round: Round, dropped: &[(ColorId, u64)], view: &EngineView) {
+        self.inner.on_drop_phase(round, dropped, view);
+    }
+
+    fn on_arrival_phase(&mut self, round: Round, arrivals: &[(ColorId, u64)], view: &EngineView) {
+        self.inner.on_arrival_phase(round, arrivals, view);
+        let state = self.inner.state();
+        self.ineligible.extend(
+            arrivals
+                .iter()
+                .filter(|&&(c, k)| k > 0 && !state.color(c).eligible)
+                .map(|&(c, k)| (round, c, k)),
+        );
+    }
+
+    fn reconfigure(&mut self, round: Round, mini: u32, view: &EngineView) -> CacheTarget {
+        self.inner.reconfigure(round, mini, view)
+    }
+}
+
+/// The *eligible subsequence* α of `trace`: the trace minus every arrival
+/// batch classified ineligible (see [`BatchRecorder`]), which drives the
+/// Lemma 3.2 chain DS-Seq-EDF(α) / Par-EDF(α).
+fn eligible_subsequence(trace: &Trace, ineligible: &[(Round, ColorId, u64)]) -> Trace {
+    let mut removed: std::collections::BTreeMap<(Round, ColorId), u64> = Default::default();
+    for &(r, c, k) in ineligible {
+        *removed.entry((r, c)).or_insert(0) += k;
+    }
+    let mut out = Trace::new(trace.colors().clone());
+    for a in trace.iter() {
+        let cut = removed.get(&(a.round, a.color)).copied().unwrap_or(0);
+        let keep = a.count.saturating_sub(cut);
+        out.add(a.round, a.color, keep).expect("same color table");
+    }
+    out
+}
+
 /// E6 — the Lemma 3.2 chain:
 /// `EligibleDrop_{ΔLRU-EDF(n)}(σ) ≤ Drop_{DS-Seq-EDF(n/4)}(α) ≤ Drop_{Par-EDF(n/4)}(α)`
 /// where α is the eligible subsequence of σ.
@@ -122,12 +177,15 @@ pub fn e6_lemma32_chain(opts: ExpOptions) -> ExpReport {
     let m = n / 8;
     let suite = rate_limited_suite(opts);
     let rows = par_map(suite, opts.threads, |(name, trace)| {
-        let mut p = DlruEdf::new(trace.colors(), n, delta).expect("geometry");
+        let mut p = BatchRecorder {
+            inner: DlruEdf::new(trace.colors(), n, delta).expect("geometry"),
+            ineligible: Vec::new(),
+        };
         Engine::new()
             .run(trace, &mut p, n, CostModel::new(delta))
             .expect("run");
-        let eligible_drops = p.state().eligible_drop_cost();
-        let alpha = p.state().eligible_subsequence(trace);
+        let eligible_drops = p.inner.state().eligible_drop_cost();
+        let alpha = eligible_subsequence(trace, &p.ineligible);
         // DS-Seq-EDF on α with m resources.
         let mut seq = Edf::seq_edf(alpha.colors(), m, delta).expect("geometry");
         let ds = Engine::with_options(EngineOptions {
@@ -280,6 +338,23 @@ mod tests {
     fn e5_quick_passes() {
         let r = e5_lemma34(ExpOptions::quick());
         assert_eq!(r.pass, Some(true), "\n{}", r.render());
+    }
+
+    #[test]
+    fn eligible_subsequence_removes_ineligible_batches() {
+        let trace = TraceBuilder::with_delay_bounds(&[4])
+            .jobs(0, 0, 2) // ineligible (below Δ=3)
+            .jobs(4, 0, 4) // wraps: eligible
+            .build();
+        let mut p = BatchRecorder {
+            inner: DlruEdf::new(trace.colors(), 4, 3).unwrap(),
+            ineligible: Vec::new(),
+        };
+        Engine::new().run(&trace, &mut p, 4, CostModel::new(3)).unwrap();
+        assert_eq!(p.ineligible, vec![(0, ColorId(0), 2)]);
+        let alpha = eligible_subsequence(&trace, &p.ineligible);
+        assert_eq!(alpha.jobs_of_color(ColorId(0)), 4);
+        assert_eq!(alpha.arrivals_at(0), vec![]);
     }
 
     #[test]

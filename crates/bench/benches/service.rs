@@ -2,7 +2,8 @@
 //! through a supervised `rrs-service` at 1, 2, 4 and 8 shards, steady and
 //! with a mid-run worker kill (a `kill@ROUND:SHARD` fault plan the supervisor
 //! recovers from checkpoint + WAL), plus the cost of shard snapshots and of
-//! the replay-based restore as the arrival log grows.
+//! restoring from one as the run grows (both hold state, not history, so
+//! neither should grow with the run).
 //!
 //! On a multi-core machine throughput should grow with the shard count until
 //! tenants-per-shard stops amortizing the command queue; on a single-core
@@ -137,8 +138,9 @@ fn bench_shard_scaling(c: &mut Criterion) {
 }
 
 fn bench_snapshot_restore(c: &mut Criterion) {
-    // Cost of the snapshot and of the replay-based restore as the run gets
-    // longer (restore replays the whole arrival log).
+    // Cost of the snapshot and of restoring from it as the run gets longer:
+    // a snapshot holds each tenant's state, not its arrivals, so both should
+    // stay flat across horizons.
     let mut group = c.benchmark_group("service-snapshot");
     for horizon in [64u64, 256] {
         let load = bench_load(horizon);
@@ -158,7 +160,7 @@ fn bench_snapshot_restore(c: &mut Criterion) {
             b.iter(|| black_box(sup.snapshot_shard(0).expect("snapshot")));
         });
         let snap = sup.snapshot_shard(0).expect("snapshot");
-        group.bench_function(BenchmarkId::new("restore-replay", horizon), |b| {
+        group.bench_function(BenchmarkId::new("restore", horizon), |b| {
             b.iter(|| {
                 rrs_service::restore_tenants(black_box(snap.clone())).expect("restore").len()
             });

@@ -27,6 +27,7 @@ use crate::schedule::{ExplicitSchedule, ScheduleStep};
 use crate::stats::{PerfCounters, RunResult};
 use crate::time::{Round, Speed};
 use crate::trace::Trace;
+use serde::{Deserialize, Value};
 
 /// Read-only snapshot handed to policies at every phase callback.
 pub struct EngineView<'a> {
@@ -93,6 +94,47 @@ pub trait Policy: Send {
     /// Returns the desired cache content for mini-round `mini` of `round`.
     /// The returned multiset must have size ≤ `view.n`.
     fn reconfigure(&mut self, round: Round, mini: u32, view: &EngineView) -> CacheTarget;
+
+    /// The state this policy carries from one round to the next, as plain
+    /// data — what [`crate::StreamingEngine::snapshot`] stores next to the
+    /// engine's own state. Only what cannot be rebuilt from the engine's
+    /// pending jobs, cache and color table belongs here: derived indexes
+    /// are rebuilt by [`Policy::load_state`] and never saved, so a saved
+    /// state cannot carry an index that disagrees with it. The default,
+    /// `Null`, suits policies that carry nothing between rounds; a stateful
+    /// policy must override both methods or a restore silently resets it.
+    fn save_state(&self) -> Value {
+        Value::Null
+    }
+
+    /// Loads a state saved by [`Policy::save_state`] into a freshly built
+    /// instance at the same round boundary, checks it against `view` (the
+    /// restored engine's pending jobs and cache), and rebuilds every
+    /// derived index from both. Continuation is then bit-identical to the
+    /// instance that saved the state.
+    ///
+    /// # Errors
+    /// [`Error::CorruptSnapshot`] if `state` does not decode or breaks an
+    /// invariant the policy keeps between rounds.
+    fn load_state(&mut self, state: &Value, _view: &EngineView) -> Result<()> {
+        expect_no_state(&self.name(), state)
+    }
+}
+
+/// Decodes a saved policy state (see [`Policy::load_state`]), naming
+/// `policy` in the error.
+pub fn decode_state<T: Deserialize>(policy: &str, state: &Value) -> Result<T> {
+    T::from_value(state)
+        .map_err(|e| Error::CorruptSnapshot(format!("{policy} state: {e}")))
+}
+
+/// The check behind the default [`Policy::load_state`]: a policy that
+/// carries nothing between rounds accepts only `Null`.
+pub fn expect_no_state(policy: &str, state: &Value) -> Result<()> {
+    match state {
+        Value::Null => Ok(()),
+        _ => Err(Error::CorruptSnapshot(format!("{policy} carries no state"))),
+    }
 }
 
 /// Engine options.

@@ -33,6 +33,9 @@ pub enum Error {
     },
     /// Trace decode failure (binary codec).
     Codec(String),
+    /// A snapshot or a policy's saved state failed the structural checks
+    /// run before an engine is rebuilt from it (message explains which).
+    CorruptSnapshot(String),
 }
 
 impl fmt::Display for Error {
@@ -52,6 +55,7 @@ impl fmt::Display for Error {
                 "cache target of {requested} slots exceeds {available} resources at round {round}"
             ),
             Error::Codec(msg) => write!(f, "codec error: {msg}"),
+            Error::CorruptSnapshot(msg) => write!(f, "corrupt snapshot: {msg}"),
         }
     }
 }

@@ -20,7 +20,8 @@
 //! leaves a stale entry behind, which costs one queue probe when its deadline
 //! comes up and is then discarded.
 
-use crate::color::ColorId;
+use crate::color::{ColorId, ColorTable};
+use crate::error::{Error, Result};
 use crate::time::Round;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
@@ -106,7 +107,7 @@ const WHEEL_SLOTS: u64 = 64;
 /// begins. Entries are *visit hints*, not ground truth: the per-color queues
 /// decide what is actually due, so stale entries (from executed or cleared
 /// runs) are harmless and cost one probe each.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct DeadlineWheel {
     /// Every deadline < `cursor` has been drained.
     cursor: Round,
@@ -176,11 +177,13 @@ impl DeadlineWheel {
 /// `PartialEq` compares the logical content (the per-color queues) only: two
 /// instances that reached the same jobs through different execute/drop
 /// histories compare equal even when their wheels hold different stale
-/// entries. Serialization captures the wheel too, so a deserialized instance
-/// continues bit-identically.
+/// entries. Serialization likewise captures the queues only: the wheel is an
+/// index over them, and a deserialized instance is unusable until
+/// [`crate::StreamingEngine::restore`] validates it and rebuilds the wheel.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct PendingJobs {
     queues: Vec<ColorQueue>,
+    #[serde(skip)]
     wheel: DeadlineWheel,
     /// Reusable buffer of colors drained from the wheel in the current drop
     /// phase (transient; irrelevant for equality and snapshots).
@@ -292,6 +295,62 @@ impl PendingJobs {
             .filter(|(_, q)| q.total > 0)
             .map(|(i, _)| ColorId(i as u32))
             .collect()
+    }
+
+    /// Checks the invariants the engine keeps at the start of round `round`:
+    /// one queue per color of `colors`; runs with positive counts and
+    /// strictly increasing deadlines, each due no earlier than `round` and
+    /// no later than `max_deadline` or the color's last possible deadline
+    /// (`round − 1 + D_ℓ`); per-queue totals equal to their runs' sum.
+    pub(crate) fn validate(
+        &self,
+        colors: &ColorTable,
+        round: Round,
+        max_deadline: Round,
+    ) -> Result<()> {
+        if self.queues.len() != colors.len() {
+            return Err(Error::CorruptSnapshot(format!(
+                "pending jobs track {} colors but the color table has {}",
+                self.queues.len(),
+                colors.len()
+            )));
+        }
+        for (c, q) in colors.ids().zip(&self.queues) {
+            let latest = round
+                .saturating_add(colors.delay_bound(c))
+                .min(max_deadline.saturating_add(1));
+            let mut prev: Option<Round> = None;
+            let mut sum: u128 = 0;
+            for &(d, k) in &q.runs {
+                if k == 0 || prev.is_some_and(|p| p >= d) || d < round || d >= latest {
+                    return Err(Error::CorruptSnapshot(format!(
+                        "pending run ({d}, {k}) of {c} is out of order or out of range \
+                         at round {round}"
+                    )));
+                }
+                prev = Some(d);
+                sum += u128::from(k);
+            }
+            if sum != u128::from(q.total) {
+                return Err(Error::CorruptSnapshot(format!(
+                    "pending total {} of {c} disagrees with its runs ({sum})",
+                    q.total
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// Rebuilds the expiry wheel from the queues, drained through
+    /// `round − 1`: every run is registered under its deadline, and no stale
+    /// entry is left.
+    pub(crate) fn rebuild_wheel(&mut self, round: Round) {
+        self.wheel = DeadlineWheel { cursor: round, ..DeadlineWheel::default() };
+        for (i, q) in self.queues.iter().enumerate() {
+            for &(d, _) in &q.runs {
+                self.wheel.register(d, ColorId(i as u32));
+            }
+        }
     }
 }
 
@@ -450,7 +509,9 @@ mod tests {
         let json = serde_json::to_string(&p).unwrap();
         let mut q: PendingJobs = serde_json::from_str(&json).unwrap();
         assert_eq!(p, q);
-        // The restored wheel keeps firing at the right rounds.
+        // The wheel is not serialized; rebuilt at the next round to drain,
+        // it fires at the right rounds.
+        q.rebuild_wheel(2);
         for r in 2..5 {
             assert_eq!(q.drop_expired(r), vec![]);
         }
@@ -524,10 +585,12 @@ mod tests {
                 model[color].clear();
                 assert_eq!(cleared, want);
             }
-            // Occasionally roundtrip through serde mid-sequence.
+            // Occasionally roundtrip through serde mid-sequence, rebuilding
+            // the wheel as a restore does.
             if round % 97 == 0 {
                 let json = serde_json::to_string(&wheel).unwrap();
                 wheel = serde_json::from_str(&json).unwrap();
+                wheel.rebuild_wheel(round + 1);
             }
         }
     }

@@ -35,7 +35,7 @@ use crate::pending::PendingJobs;
 use crate::resource::CacheState;
 use crate::stats::RunResult;
 use crate::time::{Round, Speed};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// Per-round outcome of a streaming step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,22 +50,24 @@ pub struct StepOutcome {
     pub recolored: u64,
 }
 
-/// A serializable point-in-time capture of a [`StreamingEngine`]'s state.
+/// A serializable point-in-time capture of a [`StreamingEngine`]: the
+/// engine's own state — pending jobs, cache content, the accumulated
+/// [`RunResult`], the round counter and the drain horizon — plus the
+/// policy's state as saved by [`Policy::save_state`].
 ///
-/// Holds everything the engine itself owns: pending jobs, cache content, the
-/// accumulated [`RunResult`], the round counter and the drain horizon. It does
-/// **not** capture the policy — policies are arbitrary trait objects. Callers
-/// that need bit-identical continuation after a restore must supply a policy
-/// whose internal state matches the snapshot point: either a stateless policy,
-/// or one rebuilt by replaying the same arrival log through a fresh engine
-/// (every policy in this workspace is deterministic, so a replay reproduces
-/// the state exactly — `rrs-service` uses precisely that scheme and verifies
-/// the rebuilt engine against the stored snapshot).
+/// The capture is complete for every policy that implements
+/// [`Policy::save_state`]/[`Policy::load_state`] (every policy in
+/// `rrs-algorithms` that the service runs does; stateless policies need
+/// not): [`StreamingEngine::restore`] with a freshly built policy of the
+/// same kind continues bit-identically. Its size is O(colors + pending
+/// runs), independent of how many rounds produced it. Nothing derived is
+/// stored: the expiry wheel and the policies' rank indexes are rebuilt on
+/// restore.
 ///
 /// `PartialEq` compares every field, which makes a snapshot double as a
-/// determinism witness: replaying the same arrivals must reproduce an equal
-/// snapshot.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// determinism witness: two engines fed the same arrivals must produce
+/// equal snapshots.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EngineSnapshot {
     /// Number of resources.
     pub n: usize,
@@ -83,6 +85,83 @@ pub struct EngineSnapshot {
     pub cache: CacheState,
     /// Accumulated results at the snapshot point.
     pub result: RunResult,
+    /// The policy's state ([`Policy::save_state`]).
+    pub policy: Value,
+}
+
+impl EngineSnapshot {
+    /// Structural checks on the engine's own state — the invariants every
+    /// engine keeps between rounds — against the color table it will run
+    /// on:
+    ///
+    /// * `n > 0`, `Δ > 0`, a cache of capacity `n` holding at most `n`
+    ///   copies of colors from the table, pending jobs over exactly the
+    ///   table's colors (see [`PendingJobs`]'s run invariants), and a drain
+    ///   horizon no later than `round + max D_ℓ`;
+    /// * the result's counters agree with each other:
+    ///   `rounds == round`, `dropped_jobs == Σ drops_by_color`,
+    ///   `executed == Σ executed_by_color`,
+    ///   `cost.drop == Σ drops_by_color[ℓ] · c_ℓ` and
+    ///   `cost.reconfig == reconfig_events · Δ`.
+    ///
+    /// Job conservation needs the arrival count, which the engine does not
+    /// keep; callers that track it check it themselves. The policy state
+    /// is checked by [`Policy::load_state`].
+    pub(crate) fn validate(&self, colors: &ColorTable) -> Result<()> {
+        let corrupt = |msg: String| Err(Error::CorruptSnapshot(msg));
+        let r = &self.result;
+        if self.n == 0 || self.delta == 0 {
+            return corrupt(format!("n = {} and Δ = {} must be positive", self.n, self.delta));
+        }
+        if self.cache.capacity() != self.n || r.n != self.n || r.delta != self.delta {
+            return corrupt(format!(
+                "cache capacity {} and result (n {}, Δ {}) disagree with n = {}, Δ = {}",
+                self.cache.capacity(),
+                r.n,
+                r.delta,
+                self.n,
+                self.delta
+            ));
+        }
+        let content = self.cache.content();
+        if content.size() > self.n || content.distinct().any(|c| c.index() >= colors.len()) {
+            return corrupt(format!("cache content {content:?} does not fit {} resources", self.n));
+        }
+        if r.rounds != self.round {
+            return corrupt(format!("result counts {} rounds at round {}", r.rounds, self.round));
+        }
+        if r.drops_by_color.len() != colors.len() || r.executed_by_color.len() != colors.len() {
+            return corrupt(format!(
+                "per-color counters cover {}/{} colors, the table has {}",
+                r.drops_by_color.len(),
+                r.executed_by_color.len(),
+                colors.len()
+            ));
+        }
+        let sum = |v: &[u64]| v.iter().map(|&k| u128::from(k)).sum::<u128>();
+        let drop_cost: u128 = colors
+            .ids()
+            .map(|c| u128::from(r.drops_by_color[c.index()]) * u128::from(colors.drop_cost(c)))
+            .sum();
+        if sum(&r.drops_by_color) != u128::from(r.dropped_jobs)
+            || sum(&r.executed_by_color) != u128::from(r.executed)
+            || drop_cost != u128::from(r.cost.drop)
+            || u128::from(r.reconfig_events) * u128::from(self.delta) != u128::from(r.cost.reconfig)
+        {
+            return corrupt(format!(
+                "result counters disagree \
+                 (executed {}, dropped {}, cost {:?}, {} reconfigurations)",
+                r.executed, r.dropped_jobs, r.cost, r.reconfig_events
+            ));
+        }
+        if self.max_deadline > self.round.saturating_add(colors.max_delay_bound()) {
+            return corrupt(format!(
+                "drain horizon {} lies past every possible deadline at round {}",
+                self.max_deadline, self.round
+            ));
+        }
+        self.pending.validate(colors, self.round, self.max_deadline)
+    }
 }
 
 /// The streaming counterpart of [`crate::Engine`].
@@ -165,8 +244,7 @@ impl StreamingEngine {
         self.max_deadline
     }
 
-    /// Captures the engine's own state (not the policy's; see
-    /// [`EngineSnapshot`] for the contract).
+    /// Captures the engine's and the policy's state (see [`EngineSnapshot`]).
     pub fn snapshot(&self) -> EngineSnapshot {
         EngineSnapshot {
             n: self.n,
@@ -177,55 +255,57 @@ impl StreamingEngine {
             pending: self.pending.clone(),
             cache: self.cache.clone(),
             result: self.result.clone(),
+            policy: self.policy.save_state(),
         }
     }
 
-    /// Rebuilds an engine from a snapshot and a policy.
+    /// Rebuilds an engine from a snapshot and a freshly built policy of the
+    /// kind that took it. The snapshot's structural invariants are checked
+    /// (`EngineSnapshot::validate`), the policy loads its saved state
+    /// ([`Policy::load_state`]), and the expiry wheel and the policy's
+    /// indexes are rebuilt; no round is replayed. Continuation is then
+    /// bit-identical to the run the snapshot was taken from.
     ///
-    /// The caller is responsible for the policy's internal state matching the
-    /// snapshot point (see [`EngineSnapshot`]); stateless policies always
-    /// qualify. Continuation is then bit-identical to the run the snapshot
-    /// was taken from.
+    /// # Errors
+    /// [`Error::CorruptSnapshot`] if the snapshot fails validation, names a
+    /// different policy, or carries a policy state that does not load.
     pub fn restore(
         colors: ColorTable,
-        policy: Box<dyn Policy>,
+        mut policy: Box<dyn Policy>,
         snapshot: EngineSnapshot,
     ) -> Result<Self> {
-        if snapshot.n == 0 {
-            return Err(Error::InvalidParameter(
-                "streaming engine needs at least one resource".into(),
-            ));
-        }
-        if snapshot.delta == 0 {
-            return Err(Error::InvalidParameter(
-                "snapshot has Δ = 0 (Δ must be positive)".into(),
-            ));
-        }
-        if snapshot.cache.capacity() != snapshot.n {
-            return Err(Error::InvalidParameter(format!(
-                "snapshot cache capacity {} does not match n = {}",
-                snapshot.cache.capacity(),
-                snapshot.n
+        snapshot.validate(&colors)?;
+        if snapshot.result.policy != policy.name() {
+            return Err(Error::CorruptSnapshot(format!(
+                "snapshot of {} cannot restore {}",
+                snapshot.result.policy,
+                policy.name()
             )));
         }
-        if snapshot.pending.ncolors() != colors.len() {
-            return Err(Error::InvalidParameter(format!(
-                "snapshot tracks {} colors but the color table has {}",
-                snapshot.pending.ncolors(),
-                colors.len()
-            )));
-        }
+        let EngineSnapshot {
+            n,
+            delta,
+            speed,
+            round,
+            max_deadline,
+            mut pending,
+            cache,
+            result,
+            policy: state,
+        } = snapshot;
+        pending.rebuild_wheel(round);
+        policy.load_state(&state, &EngineView::new(&pending, &cache, &colors, n, delta))?;
         Ok(StreamingEngine {
             colors,
             policy,
-            n: snapshot.n,
-            cost_model: CostModel::new(snapshot.delta),
-            speed: snapshot.speed,
-            pending: snapshot.pending,
-            cache: snapshot.cache,
-            result: snapshot.result,
-            round: snapshot.round,
-            max_deadline: snapshot.max_deadline,
+            n,
+            cost_model: CostModel::new(delta),
+            speed,
+            pending,
+            cache,
+            result,
+            round,
+            max_deadline,
             dropped_scratch: Vec::new(),
         })
     }
@@ -495,9 +575,9 @@ mod tests {
 
     #[test]
     fn snapshot_restore_continues_bit_identically() {
-        // TopPending is stateless, so a fresh instance is a valid companion
-        // for any snapshot; stateful policies are covered by the replay-based
-        // conformance suite in rrs-service.
+        // TopPending is stateless; `stateful_policy_restores_from_saved_state`
+        // covers a policy that carries state, and rrs-service's
+        // state-vs-replay suite covers every service policy.
         let trace = demo_trace();
         let mk = || {
             StreamingEngine::new(
@@ -533,6 +613,99 @@ mod tests {
             let a = full.finish().unwrap();
             let b = restored.finish().unwrap();
             assert_eq!(a, b, "kill-and-restore at round {cut} diverged");
+        }
+    }
+
+    /// Caches one color at a time, rotating on every call: its choice
+    /// depends on how many mini-rounds it has seen, not on the view.
+    struct Rotate(u64);
+    impl Policy for Rotate {
+        fn name(&self) -> String {
+            "rotate".into()
+        }
+        fn reconfigure(&mut self, _: Round, _: u32, v: &EngineView) -> CacheTarget {
+            self.0 += 1;
+            CacheTarget::singles([ColorId((self.0 % v.colors.len() as u64) as u32)])
+        }
+        fn save_state(&self) -> Value {
+            self.0.to_value()
+        }
+        fn load_state(&mut self, state: &Value, _: &EngineView) -> Result<()> {
+            self.0 = crate::engine::decode_state("rotate", state)?;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn stateful_policy_restores_from_saved_state() {
+        use serde::Serialize;
+        let trace = demo_trace();
+        let last = trace.last_arrival_round().unwrap();
+        let mk = || {
+            StreamingEngine::new(trace.colors().clone(), Box::new(Rotate(0)), 1, CostModel::new(1))
+                .unwrap()
+        };
+        let mut full = mk();
+        let mut prefix = mk();
+        for round in 0..=last {
+            if round <= 4 {
+                prefix.step(&trace.arrivals_at(round)).unwrap();
+            }
+            full.step(&trace.arrivals_at(round)).unwrap();
+        }
+        let snap = prefix.snapshot();
+        assert_eq!(snap.policy, 5u64.to_value(), "the counter is saved");
+        let mut restored =
+            StreamingEngine::restore(trace.colors().clone(), Box::new(Rotate(0)), snap.clone())
+                .unwrap();
+        assert_eq!(restored.snapshot(), snap, "restore is lossless");
+        for round in 5..=last {
+            restored.step(&trace.arrivals_at(round)).unwrap();
+        }
+        assert_eq!(full.finish().unwrap(), restored.finish().unwrap());
+        // A state of the wrong shape, or one handed to a stateless policy,
+        // is refused.
+        let mut bad = snap.clone();
+        bad.policy = Value::Str("five".into());
+        let err = StreamingEngine::restore(trace.colors().clone(), Box::new(Rotate(0)), bad);
+        assert!(matches!(err, Err(Error::CorruptSnapshot(_))));
+        let mut other = snap;
+        other.result.policy = "top-pending".into();
+        let err = StreamingEngine::restore(trace.colors().clone(), Box::new(TopPending), other);
+        assert!(matches!(err, Err(Error::CorruptSnapshot(_))), "stateless policies take no state");
+    }
+
+    #[test]
+    fn validate_rejects_inconsistent_counters_and_pending_runs() {
+        let trace = demo_trace();
+        let mut s = StreamingEngine::new(
+            trace.colors().clone(),
+            Box::new(TopPending),
+            2,
+            CostModel::new(3),
+        )
+        .unwrap();
+        for round in 0..=3 {
+            s.step(&trace.arrivals_at(round)).unwrap();
+        }
+        let snap = s.snapshot();
+        assert!(snap.validate(trace.colors()).is_ok());
+        let tampers: [fn(&mut EngineSnapshot); 7] = [
+            |s| s.result.cost.reconfig += 1,
+            |s| s.result.executed += 1,
+            |s| s.result.drops_by_color.push(0),
+            |s| s.result.rounds += 1,
+            |s| s.max_deadline += 100,
+            |s| s.pending.arrive(ColorId(2), 3, 1), // due before the current round
+            |s| s.pending.arrive(ColorId(2), 4 + 2, 1), // later than round − 1 + D
+        ];
+        for (i, tamper) in tampers.iter().enumerate() {
+            let mut bad = snap.clone();
+            tamper(&mut bad);
+            assert!(
+                matches!(bad.validate(trace.colors()), Err(Error::CorruptSnapshot(_))),
+                "tamper {i} went unnoticed"
+            );
         }
     }
 

@@ -33,19 +33,26 @@ pub enum ServiceError {
         expected: usize,
     },
     /// A snapshot failed structural validation (unsorted tenants, job
-    /// conservation violated, shard index mismatch).
+    /// conservation violated, shard index mismatch, inconsistent engine
+    /// counters, a policy state that does not load).
     Corrupt(String),
     /// Spawning a worker thread failed.
     Spawn(String),
-    /// Replaying a snapshot did not reproduce the recorded engine state —
-    /// the snapshot is corrupt or the policy is nondeterministic.
-    Divergence(String),
     /// A storage-tier failure: I/O error, unreadable frame, or a record
     /// that failed to encode.
     Storage(String),
     /// A network-layer failure: socket I/O, a frame that failed CRC
     /// validation on the wire, or a protocol violation.
     Net(String),
+    /// A data directory holds a file written in a format this build no
+    /// longer reads. Cold start refuses the directory and leaves every file
+    /// in it where it is: nothing is quarantined, moved or deleted.
+    UnsupportedFormat {
+        /// The offending file.
+        path: String,
+        /// The retired format it was written in.
+        format: &'static str,
+    },
     /// The configured data directory cannot back a disk store: it exists
     /// but is not a directory, cannot be created, or is not writable. The
     /// CLI maps this to exit code 2 (usage error) instead of panicking.
@@ -72,9 +79,13 @@ impl fmt::Display for ServiceError {
             ),
             ServiceError::Corrupt(msg) => write!(f, "corrupt snapshot: {msg}"),
             ServiceError::Spawn(msg) => write!(f, "worker spawn failed: {msg}"),
-            ServiceError::Divergence(msg) => write!(f, "snapshot divergence: {msg}"),
             ServiceError::Storage(msg) => write!(f, "storage error: {msg}"),
             ServiceError::Net(msg) => write!(f, "net error: {msg}"),
+            ServiceError::UnsupportedFormat { path, format } => write!(
+                f,
+                "{path} is a {format}, a format this build no longer reads; \
+                 the directory was left untouched"
+            ),
             ServiceError::InvalidDataDir { path, reason } => {
                 write!(f, "invalid data dir {path}: {reason}")
             }
@@ -86,6 +97,9 @@ impl std::error::Error for ServiceError {}
 
 impl From<rrs_core::Error> for ServiceError {
     fn from(e: rrs_core::Error) -> Self {
-        ServiceError::Engine(e)
+        match e {
+            rrs_core::Error::CorruptSnapshot(msg) => ServiceError::Corrupt(msg),
+            e => ServiceError::Engine(e),
+        }
     }
 }

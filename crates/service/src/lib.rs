@@ -9,11 +9,11 @@
 //!   [`Command`]s (`AddTenant`, `SubmitBatch`, `Tick`, `Snapshot`, `Stats`,
 //!   `Finish`), with counted backpressure and deadline-bounded sends when
 //!   the queue fills;
-//! * every tenant keeps its full **arrival log**, so a [`TenantSnapshot`] —
-//!   spec + log + inbox + [`rrs_core::EngineSnapshot`] — is serializable and
-//!   restorable with **bit-identical** continuation: the log is replayed
-//!   through a fresh engine and the result verified against the recorded
-//!   state;
+//! * a [`TenantSnapshot`] holds a tenant's **state, not its history** —
+//!   spec, inbox, counters and the [`rrs_core::EngineSnapshot`] with the
+//!   policy's saved state — so it is serializable in O(colors) bytes and
+//!   restorable with **bit-identical** continuation: restore validates it
+//!   structurally and loads it into a fresh engine, with no replay;
 //! * the supervisor journals every state-changing command into a per-shard
 //!   write-ahead log ([`Wal`], kept by a [`StorageBackend`]: memory or
 //!   disk) before enqueueing, buffers each tick epoch's submits into one

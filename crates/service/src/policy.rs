@@ -5,9 +5,10 @@
 //! `rrs-algorithms` that can drive a [`rrs_core::StreamingEngine`] (the
 //! offline hindsight heuristic and the batch-only reduction pipelines are
 //! excluded: both need the whole trace up front) and rebuilds a fresh
-//! instance on demand. All of these policies are deterministic, so a fresh
-//! instance replayed over the same arrivals reproduces the original's state
-//! exactly — the property tenant restore leans on.
+//! instance on demand. Every one of them saves the state it carries between
+//! rounds as plain data ([`rrs_core::Policy::save_state`]), which tenant
+//! restore loads into a fresh instance; and every one is deterministic, so
+//! WAL replay on top of a restored checkpoint reproduces the live run.
 
 use rrs_algorithms::prelude::*;
 use rrs_core::prelude::*;

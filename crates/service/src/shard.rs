@@ -110,7 +110,8 @@ impl ShardSnapshot {
     /// Structural validation against a topology: the shard index must be in
     /// range, tenant entries strictly ascending (no duplicates), every
     /// tenant must route to this shard under `route`, and every tenant must
-    /// conserve jobs. Returns the first violation as a typed error.
+    /// pass [`TenantSnapshot::validate`]. Returns the first violation as a
+    /// typed error. Cost: O(tenants × colors), independent of run length.
     pub fn validate(
         &self,
         shards: usize,
@@ -139,16 +140,10 @@ impl ShardSnapshot {
                     expected,
                 });
             }
-            if !t.conserves_jobs() {
-                return Err(ServiceError::Corrupt(format!(
-                    "tenant {id} violates job conservation \
-                     (arrived {} != executed {} + dropped {} + pending {})",
-                    t.arrived(),
-                    t.engine.result.executed,
-                    t.engine.result.dropped_jobs,
-                    t.engine.pending.total(),
-                )));
-            }
+            t.validate().map_err(|e| match e {
+                ServiceError::Corrupt(msg) => ServiceError::Corrupt(format!("tenant {id}: {msg}")),
+                other => other,
+            })?;
         }
         Ok(())
     }
@@ -590,8 +585,9 @@ impl Worker {
     }
 }
 
-/// Rebuilds the tenants of a [`ShardSnapshot`] (replay + verification per
-/// tenant), ready to hand to [`spawn_shard_with`].
+/// Rebuilds the tenants of a [`ShardSnapshot`] ([`Tenant::restore`] per
+/// tenant: validation, then a direct load of each engine and policy state —
+/// no replay), ready to hand to [`spawn_shard_with`].
 pub fn restore_tenants(
     snapshot: ShardSnapshot,
 ) -> ServiceResult<BTreeMap<TenantId, Tenant>> {

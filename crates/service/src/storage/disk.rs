@@ -23,7 +23,12 @@
 //!
 //! ## Recovery (open)
 //!
-//! Opening a shard directory scans checkpoints (skipping corrupt ones) and
+//! Opening a shard directory first reads every checkpoint. One written in
+//! the retired log-bearing format (each tenant's per-round arrival log,
+//! restored by replay) refuses the cold start with
+//! [`ServiceError::UnsupportedFormat`] before any file is touched: such a
+//! directory is neither migrated nor quarantined. Otherwise the scan keeps
+//! the valid checkpoints (quarantining corrupt ones) and walks the
 //! segments in offset order, stopping at the first torn or corrupt frame:
 //! the torn tail is truncated away, later segments (unreachable once the
 //! offset chain breaks) are deleted, and the surviving prefix becomes the
@@ -396,6 +401,22 @@ fn parse_name(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
     name.strip_prefix(prefix)?.strip_suffix(suffix)?.parse().ok()
 }
 
+/// The retired checkpoint format, named in [`ServiceError::UnsupportedFormat`].
+const LOG_BEARING_CHECKPOINT: &str =
+    "log-bearing checkpoint (every tenant's per-round arrival log, restored by replay)";
+
+/// Whether a decoded checkpoint tree has the retired shape: some tenant
+/// snapshot (`snapshot.tenants[i] = [id, tenant]`) with a `log` field.
+fn is_log_bearing(tree: &serde::Value) -> bool {
+    let tenants = tree.get_field("snapshot").and_then(|s| s.get_field("tenants"));
+    tenants.and_then(serde::Value::as_array).is_some_and(|entries| {
+        entries.iter().any(|entry| {
+            let tenant = entry.as_array().and_then(|pair| pair.get(1));
+            tenant.is_some_and(|t| t.get_field("log").is_some())
+        })
+    })
+}
+
 impl DiskStore {
     fn open(
         shard: usize,
@@ -441,6 +462,7 @@ impl DiskStore {
     fn recover_from_dir(&mut self) -> ServiceResult<()> {
         let mut seg_files: Vec<(u64, PathBuf)> = Vec::new();
         let mut ck_files: Vec<(u64, PathBuf)> = Vec::new();
+        let mut tmp_files: Vec<PathBuf> = Vec::new();
         let entries = fs::read_dir(&self.dir).map_err(|e| io_err("read dir", &self.dir, e))?;
         for entry in entries {
             let entry = entry.map_err(|e| io_err("read dir", &self.dir, e))?;
@@ -451,17 +473,31 @@ impl DiskStore {
                 ck_files.push((off, entry.path()));
             } else if name.ends_with(".tmp") {
                 // A checkpoint write that never reached its rename.
-                let _ = fs::remove_file(entry.path());
+                tmp_files.push(entry.path());
             }
         }
         seg_files.sort_by_key(|&(off, _)| off);
         ck_files.sort_by_key(|&(off, _)| off);
 
-        // Checkpoints: newest RETAINED valid ones survive; corrupt or
-        // unreadable files are counted and deleted, stale ones pruned.
-        let mut checkpoints: Vec<Checkpoint> = Vec::new();
-        for (off, path) in &ck_files {
+        // Every checkpoint is read before the directory is touched: one in
+        // a retired format refuses the whole cold start, leaving every file
+        // where it is.
+        let mut read = Vec::with_capacity(ck_files.len());
+        for (_, path) in &ck_files {
             match self.read_checkpoint(path) {
+                Err(e @ ServiceError::UnsupportedFormat { .. }) => return Err(e),
+                ck => read.push(ck),
+            }
+        }
+        for path in tmp_files {
+            let _ = fs::remove_file(path);
+        }
+
+        // Checkpoints: newest RETAINED valid ones survive; corrupt or
+        // unreadable files are counted and quarantined, stale ones pruned.
+        let mut checkpoints: Vec<Checkpoint> = Vec::new();
+        for ((off, path), ck) in ck_files.iter().zip(read) {
+            match ck {
                 Ok(ck) if ck.wal_offset == *off && ck.snapshot.shard == self.shard => {
                     checkpoints.push(ck);
                 }
@@ -591,10 +627,20 @@ impl DiskStore {
         fs::read(path).map_err(|e| io_err("read", path, e))
     }
 
+    /// Reads one checkpoint file. A file whose frame is intact but whose
+    /// tenants carry the per-round arrival log of the retired format is
+    /// [`ServiceError::UnsupportedFormat`], not corruption.
     fn read_checkpoint(&self, path: &Path) -> ServiceResult<Checkpoint> {
         let bytes = self.read_file(path)?;
-        let (ck, consumed) = frame::decode_value::<Checkpoint>(&bytes)
-            .map_err(|e| ServiceError::Storage(format!("{}: {e:?}", path.display())))?;
+        let (ck, consumed) = frame::decode_value::<Checkpoint>(&bytes).map_err(|e| {
+            match frame::decode_value::<serde::Value>(&bytes) {
+                Ok((tree, _)) if is_log_bearing(&tree) => ServiceError::UnsupportedFormat {
+                    path: path.display().to_string(),
+                    format: LOG_BEARING_CHECKPOINT,
+                },
+                _ => ServiceError::Storage(format!("{}: {e:?}", path.display())),
+            }
+        })?;
         if consumed != bytes.len() {
             return Err(ServiceError::Storage(format!(
                 "{}: trailing bytes after checkpoint frame",

@@ -782,7 +782,8 @@ impl Supervisor {
 
     /// Cheap structural validation of a would-be checkpoint: topology,
     /// routing, job conservation, and agreement with the tenant directory.
-    /// (Full replay verification happens at recovery, with fallback.)
+    /// Every tenant's state passes [`crate::TenantSnapshot::validate`] too,
+    /// so a checkpoint that would not restore is never adopted.
     fn validate_checkpoint(&self, shard: usize, snap: &ShardSnapshot) -> ServiceResult<()> {
         if snap.shard != shard {
             return Err(ServiceError::Corrupt(format!(
@@ -813,7 +814,7 @@ impl Supervisor {
 
     /// Rebuilds a dead, stalled or misbehaving shard from its newest
     /// checkpoint plus the WAL suffix, falling back to older checkpoints if
-    /// replay verification reports divergence. The old worker is abandoned,
+    /// one fails restore-time validation. The old worker is abandoned,
     /// never joined — a stalled thread cannot hang the supervisor.
     fn rebuild(&mut self, shard: usize, cause: &str) -> ServiceResult<()> {
         let panic_msg = self.seats[shard].handle.panic_message();
@@ -937,7 +938,7 @@ impl Supervisor {
                     id,
                     crate::tenant::TenantProgress {
                         rounds: r.rounds,
-                        arrived: t.arrived(),
+                        arrived: t.arrived,
                         executed: r.executed,
                         dropped: r.dropped_jobs,
                         pending: t.engine.pending.total(),

@@ -1,15 +1,16 @@
 //! One tenant: a [`StreamingEngine`] plus the bookkeeping that makes it
 //! restartable.
 //!
-//! A tenant buffers submitted arrivals in an inbox until the next tick, and
-//! keeps the per-round arrival log of everything already ticked. A
-//! [`TenantSnapshot`] is therefore fully serializable — spec, log, inbox and
-//! the engine's own [`EngineSnapshot`] — and [`Tenant::restore`] rebuilds a
-//! bit-identical tenant by replaying the log through a fresh engine (which
-//! also reconstructs the policy's internal state, since every
-//! [`crate::PolicySpec`] policy is deterministic). The rebuilt engine state is
-//! verified against the stored snapshot, so corruption or nondeterminism is
-//! detected at restore time instead of corrupting results silently.
+//! A tenant buffers submitted arrivals in an inbox until the next tick and
+//! counts the jobs that have entered ticked rounds. A [`TenantSnapshot`] is
+//! the tenant's state, not its history: spec, inbox, counters and the
+//! engine's [`EngineSnapshot`], which carries the policy's own saved state
+//! ([`rrs_core::Policy::save_state`]). Its size is O(colors + pending runs)
+//! however many rounds produced it. [`Tenant::restore`] validates the
+//! snapshot ([`TenantSnapshot::validate`]) and loads it straight into a
+//! freshly built engine and policy — nothing is replayed — so a corrupt
+//! snapshot is refused at restore time instead of corrupting results
+//! silently.
 
 use crate::error::{ServiceError, ServiceResult};
 use crate::policy::PolicySpec;
@@ -36,6 +37,27 @@ impl TenantSpec {
     pub fn new(policy: PolicySpec, colors: ColorTable, n: usize, delta: u64) -> Self {
         TenantSpec { policy, colors, n, delta }
     }
+
+    /// A fresh engine over a freshly built policy, restored from `engine`
+    /// when given.
+    fn engine(&self, engine: Option<EngineSnapshot>) -> ServiceResult<StreamingEngine> {
+        if self.delta == 0 {
+            return Err(ServiceError::Engine(rrs_core::Error::InvalidParameter(
+                "tenant Δ must be positive".into(),
+            )));
+        }
+        let policy = self.policy.build(&self.colors, self.n, self.delta)?;
+        Ok(match engine {
+            Some(snapshot) => StreamingEngine::restore(self.colors.clone(), policy, snapshot)?,
+            None => StreamingEngine::with_speed(
+                self.colors.clone(),
+                policy,
+                self.n,
+                CostModel::new(self.delta),
+                self.policy.speed(),
+            )?,
+        })
+    }
 }
 
 /// Point-in-time capture of one tenant, sufficient to rebuild it exactly.
@@ -43,32 +65,87 @@ impl TenantSpec {
 pub struct TenantSnapshot {
     /// The tenant's instance parameters.
     pub spec: TenantSpec,
-    /// Arrivals of every round already ticked, in round order.
-    pub log: Vec<Vec<(ColorId, u64)>>,
+    /// The engine state at the snapshot point, including the policy's
+    /// saved state.
+    pub engine: EngineSnapshot,
     /// Buffered arrivals not yet ticked, in ascending color order.
     pub inbox: Vec<(ColorId, u64)>,
     /// Jobs shed at the inbox watermark (service-level drops; they never
     /// entered a round, so they are outside job conservation).
-    #[serde(default)]
     pub shed: u64,
-    /// The engine state at the snapshot point (used to verify the replay).
-    pub engine: EngineSnapshot,
+    /// Jobs that have entered ticked rounds (arrived from the engine's
+    /// point of view). Inbox jobs are submitted but not yet part of any
+    /// round.
+    pub arrived: u64,
 }
 
 impl TenantSnapshot {
-    /// Jobs that have entered ticked rounds (arrived from the engine's point
-    /// of view). Inbox jobs are submitted but not yet part of any round.
-    pub fn arrived(&self) -> u64 {
-        self.log.iter().flatten().map(|&(_, k)| k).sum()
-    }
-
     /// Job conservation at the snapshot point:
     /// `arrived = executed + dropped + pending`.
     pub fn conserves_jobs(&self) -> bool {
-        self.arrived()
-            == self.engine.result.executed
-                + self.engine.result.dropped_jobs
-                + self.engine.pending.total()
+        let r = &self.engine.result;
+        u128::from(self.arrived)
+            == u128::from(r.executed)
+                + u128::from(r.dropped_jobs)
+                + u128::from(self.engine.pending.total())
+    }
+
+    /// Structural validation, run by [`Tenant::restore`] and
+    /// [`crate::ShardSnapshot::validate`] in place of a replay:
+    ///
+    /// * the engine matches the spec (`n`, Δ, speed) and conserves jobs
+    ///   against `arrived`;
+    /// * the inbox is strictly ascending, within the color table and
+    ///   positive — exactly what [`Tenant::submit`] stores;
+    /// * the engine's own counters agree (checked by
+    ///   [`StreamingEngine::restore`]: `cost.reconfig = reconfig_events·Δ`,
+    ///   per-color drop and execution sums, `rounds == round`, pending runs
+    ///   in range);
+    /// * the policy's saved state loads into a fresh policy
+    ///   ([`rrs_core::Policy::load_state`]: counters below Δ, a cached set
+    ///   within the color table and capacity that equals the cache's
+    ///   colors, …).
+    ///
+    /// # Errors
+    /// [`ServiceError::Corrupt`] naming the first violation, or
+    /// [`ServiceError::Engine`] if the spec itself cannot build a policy.
+    pub fn validate(&self) -> ServiceResult<()> {
+        self.check_counters()?;
+        self.spec.engine(Some(self.engine.clone())).map(drop)
+    }
+
+    /// The service-level half of [`TenantSnapshot::validate`].
+    fn check_counters(&self) -> ServiceResult<()> {
+        let (spec, e) = (&self.spec, &self.engine);
+        if e.n != spec.n || e.delta != spec.delta || e.speed != spec.policy.speed() {
+            return Err(ServiceError::Corrupt(format!(
+                "engine (n {}, Δ {}, {:?}) does not match the spec (n {}, Δ {}, {:?})",
+                e.n,
+                e.delta,
+                e.speed,
+                spec.n,
+                spec.delta,
+                spec.policy.speed()
+            )));
+        }
+        let ncolors = spec.colors.len();
+        let ascending = self.inbox.windows(2).all(|w| w[0].0 < w[1].0);
+        if !ascending || self.inbox.iter().any(|&(c, k)| c.index() >= ncolors || k == 0) {
+            return Err(ServiceError::Corrupt(format!(
+                "inbox {:?} is not strictly ascending, positive and within {ncolors} colors",
+                self.inbox
+            )));
+        }
+        if !self.conserves_jobs() {
+            return Err(ServiceError::Corrupt(format!(
+                "job conservation violated (arrived {} != executed {} + dropped {} + pending {})",
+                self.arrived,
+                e.result.executed,
+                e.result.dropped_jobs,
+                e.pending.total(),
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -76,28 +153,16 @@ impl TenantSnapshot {
 pub struct Tenant {
     spec: TenantSpec,
     engine: StreamingEngine,
-    log: Vec<Vec<(ColorId, u64)>>,
     inbox: BTreeMap<ColorId, u64>,
     shed: u64,
+    arrived: u64,
 }
 
 impl Tenant {
     /// Creates a tenant at round 0 with a fresh policy.
     pub fn new(spec: TenantSpec) -> ServiceResult<Self> {
-        if spec.delta == 0 {
-            return Err(ServiceError::Engine(rrs_core::Error::InvalidParameter(
-                "tenant Δ must be positive".into(),
-            )));
-        }
-        let policy = spec.policy.build(&spec.colors, spec.n, spec.delta)?;
-        let engine = StreamingEngine::with_speed(
-            spec.colors.clone(),
-            policy,
-            spec.n,
-            CostModel::new(spec.delta),
-            spec.policy.speed(),
-        )?;
-        Ok(Tenant { spec, engine, log: Vec::new(), inbox: BTreeMap::new(), shed: 0 })
+        let engine = spec.engine(None)?;
+        Ok(Tenant { spec, engine, inbox: BTreeMap::new(), shed: 0, arrived: 0 })
     }
 
     /// The tenant's instance parameters.
@@ -170,7 +235,7 @@ impl Tenant {
         let arrivals: Vec<(ColorId, u64)> =
             std::mem::take(&mut self.inbox).into_iter().collect();
         let outcome = self.engine.step(&arrivals)?;
-        self.log.push(arrivals);
+        self.arrived += arrivals.iter().map(|&(_, k)| k).sum::<u64>();
         Ok(outcome)
     }
 
@@ -178,46 +243,29 @@ impl Tenant {
     pub fn snapshot(&self) -> TenantSnapshot {
         TenantSnapshot {
             spec: self.spec.clone(),
-            log: self.log.clone(),
+            engine: self.engine.snapshot(),
             inbox: self.inbox.iter().map(|(&c, &k)| (c, k)).collect(),
             shed: self.shed,
-            engine: self.engine.snapshot(),
+            arrived: self.arrived,
         }
     }
 
-    /// Rebuilds a tenant from a snapshot with bit-identical continuation.
+    /// Rebuilds a tenant from a snapshot with bit-identical continuation:
+    /// the snapshot is validated ([`TenantSnapshot::validate`]) and loaded
+    /// into a freshly built engine and policy, with no replay.
     ///
-    /// The arrival log is replayed through a fresh engine and policy, and the
-    /// rebuilt engine state is compared against the snapshot's recorded
-    /// [`EngineSnapshot`]; a mismatch yields [`ServiceError::Divergence`].
+    /// # Errors
+    /// [`ServiceError::Corrupt`] if the snapshot fails validation.
     pub fn restore(snapshot: TenantSnapshot) -> ServiceResult<Self> {
-        let mut tenant = Tenant::new(snapshot.spec.clone())?;
-        for arrivals in &snapshot.log {
-            tenant.engine.step(arrivals)?;
-        }
-        tenant.log = snapshot.log;
-        let rebuilt = tenant.engine.snapshot();
-        if rebuilt != snapshot.engine {
-            return Err(ServiceError::Divergence(format!(
-                "replayed {} rounds of tenant log but engine state differs \
-                 (round {} vs {}, cost {:?} vs {:?})",
-                tenant.log.len(),
-                rebuilt.round,
-                snapshot.engine.round,
-                rebuilt.result.cost,
-                snapshot.engine.result.cost,
-            )));
-        }
-        tenant.inbox = snapshot.inbox.into_iter().collect();
-        // Shed jobs never entered the log, so the replay cannot reproduce
-        // the counter; carry it over from the snapshot.
-        tenant.shed = snapshot.shed;
-        Ok(tenant)
+        snapshot.check_counters()?;
+        let TenantSnapshot { spec, engine, inbox, shed, arrived } = snapshot;
+        let engine = spec.engine(Some(engine))?;
+        Ok(Tenant { spec, engine, inbox: inbox.into_iter().collect(), shed, arrived })
     }
 
     /// Ticked arrivals so far (inbox not included).
     pub fn arrived(&self) -> u64 {
-        self.log.iter().flatten().map(|&(_, k)| k).sum()
+        self.arrived
     }
 
     /// Live cost/progress counters.
@@ -225,7 +273,7 @@ impl Tenant {
         let r = self.engine.partial_result();
         TenantProgress {
             rounds: r.rounds,
-            arrived: self.arrived(),
+            arrived: self.arrived,
             executed: r.executed,
             dropped: r.dropped_jobs,
             pending: self.engine.pending_jobs(),
@@ -323,10 +371,8 @@ mod tests {
         }
         let mut snap = t.snapshot();
         snap.engine.result.executed += 1; // corrupt the recorded state
-        assert!(matches!(
-            Tenant::restore(snap),
-            Err(ServiceError::Divergence(_))
-        ));
+        assert!(matches!(snap.validate(), Err(ServiceError::Corrupt(_))));
+        assert!(matches!(Tenant::restore(snap), Err(ServiceError::Corrupt(_))));
     }
 
     #[test]

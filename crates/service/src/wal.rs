@@ -2,10 +2,10 @@
 //!
 //! The supervisor is the only sender into a shard's command queue, so it can
 //! journal every state-changing command (`AddTenant`, `SubmitBatch`, `Tick`)
-//! **before** enqueueing it. Recovery is then pure replay: rebuild the
-//! tenants from the newest validated checkpoint (itself replay-verified by
-//! [`crate::restore_tenants`]) and apply the WAL suffix past the
-//! checkpoint's offset with exactly the worker's own semantics — same
+//! **before** enqueueing it. Recovery then loads the tenants from the
+//! newest validated checkpoint (each tenant's state is validated and loaded
+//! directly by [`crate::restore_tenants`]) and replays only the WAL suffix
+//! past the checkpoint's offset, with exactly the worker's own semantics — same
 //! per-tenant iteration order, same inbox-watermark shedding rule, same
 //! error tolerance. Because every policy is deterministic, the rebuilt shard
 //! is bit-identical to one that never failed, including commands that were

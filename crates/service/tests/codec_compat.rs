@@ -5,17 +5,22 @@
 //! a WAL whose segments mix both formats mid-stream recovers
 //! bit-identically to an uninterrupted run.
 //!
+//! Directories whose checkpoints predate policy-state checkpoints (each
+//! tenant's arrival log, restored by replay) are refused with a typed error
+//! and left untouched.
+//!
 //! The oracle is the same one every storage suite uses: a
 //! [`MemoryBackend`] supervisor driven over the identical deterministic
 //! workload. Whatever codecs the disk runs used, final results and shard
 //! snapshots must match it exactly — and each other.
 
 use rrs_core::{ColorId, ColorTable, RunResult};
-use rrs_service::storage::frame::Codec;
+use rrs_service::storage::frame::{self, Codec};
 use rrs_service::{
-    DiskBackend, DiskConfig, FaultPlan, MemoryBackend, PolicySpec, Supervisor, SupervisorConfig,
-    TenantSpec,
+    DiskBackend, DiskConfig, FaultPlan, MemoryBackend, PolicySpec, ServiceError, Supervisor,
+    SupervisorConfig, TenantSpec,
 };
+use serde::Value;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -150,4 +155,82 @@ fn json_and_binary_runs_are_result_identical_and_binary_is_smaller() {
         bin_payload < json_payload,
         "binary payload {bin_payload} >= json payload {json_payload}"
     );
+}
+
+/// Every file under `dir` (recursively, so a `.quarantine/` subdirectory
+/// would show up) with its bytes.
+fn tree(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+    let mut files = BTreeMap::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            files.extend(tree(&path));
+        } else {
+            files.insert(path.clone(), std::fs::read(&path).unwrap());
+        }
+    }
+    files
+}
+
+/// Rewrites a checkpoint tree into the retired log-bearing shape: each
+/// tenant carries a per-round `log` in place of the `arrived` counter, and
+/// its engine snapshot no policy state.
+fn to_log_bearing(tree: &mut Value) {
+    let Value::Object(ck) = tree else { panic!("checkpoint is an object") };
+    let (_, Value::Object(snapshot)) = &mut ck[0] else { panic!("snapshot first") };
+    let (_, Value::Array(tenants)) = &mut snapshot[1] else { panic!("tenants second") };
+    for entry in tenants {
+        let Value::Array(pair) = entry else { panic!("[id, tenant] pairs") };
+        let Value::Object(fields) = &mut pair[1] else { panic!("tenant is an object") };
+        fields.retain(|(k, _)| k != "arrived");
+        for (k, v) in fields.iter_mut() {
+            if k == "engine" {
+                let Value::Object(engine) = v else { panic!("engine is an object") };
+                engine.retain(|(k, _)| k != "policy");
+            }
+        }
+        let round = Value::Array(vec![Value::Array(vec![Value::U64(0), Value::U64(2)])]);
+        fields.insert(1, ("log".into(), Value::Array(vec![round, Value::Array(vec![])])));
+    }
+}
+
+/// A directory whose checkpoints carry arrival logs (the format before
+/// checkpoints held policy state) is refused at cold start with a typed
+/// error naming the format — and left exactly as it was: no checkpoint is
+/// quarantined, no stray temp file removed, no segment collected.
+#[test]
+fn log_bearing_checkpoints_refuse_cold_start_and_leave_the_directory_untouched() {
+    let dir = temp_dir("log-bearing");
+    let mut sup = disk_supervisor(&dir, Codec::Binary);
+    register_all(&mut sup);
+    drive_epochs(&mut sup, 0, EPOCHS_A);
+    drop(sup);
+
+    let shard_dir = dir.join("shard-000");
+    let mut rewritten = 0;
+    for (path, bytes) in tree(&shard_dir) {
+        if path.extension().is_some_and(|e| e == "ck") {
+            let (mut ck, _) = frame::decode_value::<Value>(&bytes).unwrap();
+            to_log_bearing(&mut ck);
+            std::fs::write(&path, frame::encode_value_with(&ck, Codec::Binary).unwrap()).unwrap();
+            rewritten += 1;
+        }
+    }
+    assert!(rewritten > 0, "the run wrote checkpoints");
+    // Files a normal cold start would quarantine or delete.
+    std::fs::write(shard_dir.join("ck-1.ck"), b"not a frame").unwrap();
+    std::fs::write(shard_dir.join("ck-77.ck.tmp"), b"interrupted write").unwrap();
+    let before = tree(&dir);
+
+    let backend = DiskBackend::new(DiskConfig::new(&dir));
+    match Supervisor::with_storage(config(), &FaultPlan::none(), Box::new(backend)) {
+        Err(ServiceError::UnsupportedFormat { path, format }) => {
+            assert!(path.contains("shard-000"), "{path}");
+            assert!(format.contains("log-bearing"), "{format}");
+        }
+        Err(other) => panic!("expected UnsupportedFormat, got {other}"),
+        Ok(_) => panic!("a log-bearing directory cold-started"),
+    }
+    assert_eq!(tree(&dir), before, "the refused directory was modified");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -7,32 +7,69 @@
 //!   [`Request`] and [`Response`] variant round-trips through a binary
 //!   frame; the complex payloads (`Stats`, `Snapshot`, `Results`) come
 //!   from a live mini-run, not hand-built stand-ins.
-//! * **Corruption** — flipping any single bit of a binary WAL frame never
-//!   yields a *different* record.
+//! * **Corruption** — flipping any single bit of a binary WAL frame, or of
+//!   a checkpoint frame holding every policy's saved state, never yields a
+//!   *different* value.
 //! * **Truncation** — every proper prefix of a binary frame reads as
 //!   torn, never as a bogus value.
+//!
+//! Tenants cycle through every [`PolicySpec`], so every policy-state type
+//! rides through each of these checks.
 //! * **Emit/tree agreement** — the streaming `Emit` encode of a derived
 //!   type produces byte-identical output to encoding its `to_value()`
 //!   tree, the invariant the zero-alloc hot paths rely on.
 
 use proptest::prelude::*;
-use rrs_core::{ColorId, ColorTable};
+use rrs_core::{ColorId, ColorTable, RunResult};
 use rrs_service::net::wire::{self, Request, Response};
 use rrs_service::storage::frame::{self, Codec, FrameError};
 use rrs_service::{
-    Checkpoint, FaultPlan, MemoryBackend, PolicySpec, Supervisor, SupervisorConfig, TenantSpec,
-    WalRecord,
+    Checkpoint, FaultPlan, MemoryBackend, PolicySpec, ServiceStats, ShardSnapshot, Supervisor,
+    SupervisorConfig, TenantSpec, WalRecord,
 };
 use serde::Serialize;
 
+/// Tenant `id` runs policy `id mod 12`, so a run with 12 tenants carries
+/// every policy's saved-state type.
 fn spec_for(id: u64) -> TenantSpec {
-    let policies = [PolicySpec::DlruEdf, PolicySpec::Dlru, PolicySpec::Edf];
+    let policies = PolicySpec::all();
     TenantSpec::new(
-        policies[(id % 3) as usize],
+        policies[id as usize % policies.len()],
         ColorTable::from_delay_bounds(&[2, 4, 8]),
         4,
         2,
     )
+}
+
+/// Tenants in the live mini-run: one per policy.
+const LIVE_TENANTS: u64 = 12;
+
+/// A supervised mini-run over every policy: its stats, shard 1's snapshot
+/// and tick count, the final results, and a checkpoint holding every
+/// tenant of both shards (so every policy-state type is in one frame).
+fn live_run() -> (ServiceStats, ShardSnapshot, u64, Vec<(u64, RunResult)>, Checkpoint) {
+    let config = SupervisorConfig { shards: 2, checkpoint_every: 4, ..SupervisorConfig::default() };
+    let mut sup =
+        Supervisor::with_storage(config, &FaultPlan::none(), Box::new(MemoryBackend::new()))
+            .unwrap();
+    for id in 0..LIVE_TENANTS {
+        sup.add_tenant(id, spec_for(id)).unwrap();
+    }
+    for round in 0..10u64 {
+        for id in 0..LIVE_TENANTS {
+            sup.submit(id, vec![(ColorId(((id + round) % 3) as u32), 1 + round % 3)]).unwrap();
+        }
+        sup.tick().unwrap();
+    }
+    let stats = sup.stats().unwrap();
+    let snapshot = sup.snapshot_shard(1).unwrap();
+    let ticks = sup.shard_ticks(1).unwrap();
+    let mut tenants = sup.snapshot_shard(0).unwrap().tenants;
+    tenants.extend(snapshot.tenants.iter().cloned());
+    tenants.sort_by_key(|&(id, _)| id);
+    let all = Checkpoint { snapshot: ShardSnapshot { shard: 0, tenants }, wal_offset: 31, ticks };
+    let results = sup.finish().unwrap().into_iter().collect();
+    (stats, snapshot, ticks, results, all)
 }
 
 /// Frame-level binary round trip: encode with the binary codec, decode,
@@ -124,27 +161,13 @@ fn every_request_variant_round_trips_binary() {
 /// tenant snapshots, run results — not simplified stand-ins.
 #[test]
 fn every_response_variant_round_trips_binary_with_live_payloads() {
-    let config = SupervisorConfig { shards: 2, checkpoint_every: 4, ..SupervisorConfig::default() };
-    let mut sup =
-        Supervisor::with_storage(config, &FaultPlan::none(), Box::new(MemoryBackend::new()))
-            .unwrap();
-    for id in 0..4u64 {
-        sup.add_tenant(id, spec_for(id)).unwrap();
-    }
-    for round in 0..10u64 {
-        for id in 0..4u64 {
-            sup.submit(id, vec![(ColorId(((id + round) % 3) as u32), 1 + round % 3)]).unwrap();
-        }
-        sup.tick().unwrap();
-    }
-    let stats = sup.stats().unwrap();
-    let snapshot = sup.snapshot_shard(1).unwrap();
-    let ticks = sup.shard_ticks(1).unwrap();
-    let results = sup.finish().unwrap();
+    let (stats, snapshot, ticks, results, all) = live_run();
+    assert_eq!(all.snapshot.tenants.len(), PolicySpec::all().len(), "every policy's state");
 
-    // A checkpoint wrapping the live snapshot exercises the same payload
+    // Checkpoints wrapping the live snapshots exercise the same payload
     // the disk store persists at adoption time.
     frame_round_trip(&Checkpoint { snapshot: snapshot.clone(), wal_offset: 31, ticks });
+    frame_round_trip(&all);
     frame_round_trip(&Checkpoint::genesis(0));
 
     let responses = vec![
@@ -154,7 +177,7 @@ fn every_response_variant_round_trips_binary_with_live_payloads() {
         Response::TickAck { epoch: 3, seqs: vec![11, 13] },
         Response::Stats { stats: Box::new(stats) },
         Response::Snapshot { snapshot: Box::new(snapshot) },
-        Response::Results { results: results.into_iter().collect() },
+        Response::Results { results },
         Response::Err { message: "shard 9 out of range".into() },
     ];
     for response in responses {
@@ -176,6 +199,7 @@ fn emit_agrees_with_value_tree_for_service_types() {
         check(&record);
     }
     check(&Checkpoint::genesis(3));
+    check(&live_run().4);
     check(&Request::AddTenant { id: 2, spec: spec_for(2) });
     check(&Response::TickAck { epoch: 3, seqs: vec![11, 13] });
 }
@@ -227,17 +251,44 @@ proptest! {
 
 /// Every proper prefix of a binary frame is torn — recovery keeps the
 /// committed prefix and treats the tail as an interrupted write, exactly
-/// as it always did for JSON frames.
+/// as it always did for JSON frames. Swept over a WAL record and over a
+/// checkpoint carrying every policy's saved state.
 #[test]
 fn every_truncation_of_a_binary_frame_is_torn() {
-    let record = WalRecord::SubmitBatch {
+    fn sweep<T: Serialize + serde::Deserialize + std::fmt::Debug>(value: &T) {
+        let frame = frame::encode_value_with(value, Codec::Binary).unwrap();
+        for cut in 0..frame.len() {
+            match frame::decode_value::<T>(&frame[..cut]) {
+                Err(FrameError::Torn) => {}
+                other => panic!("cut at {cut}: expected Torn, got {other:?}"),
+            }
+        }
+    }
+    sweep(&WalRecord::SubmitBatch {
         entries: vec![(1, vec![(ColorId(1), 2)]), (4, vec![(ColorId(0), 7)])],
-    };
-    let frame = frame::encode_value_with(&record, Codec::Binary).unwrap();
-    for cut in 0..frame.len() {
-        match frame::decode_value::<WalRecord>(&frame[..cut]) {
-            Err(FrameError::Torn) => {}
-            other => panic!("cut at {cut}: expected Torn, got {other:?}"),
+    });
+    sweep(&live_run().4);
+}
+
+/// Flip any bit of a checkpoint frame carrying every policy's saved state:
+/// the decoder must never hand back a *different* checkpoint.
+#[test]
+fn single_bit_flips_never_forge_a_policy_state_checkpoint() {
+    let checkpoint = live_run().4;
+    let frame = frame::encode_value_with(&checkpoint, Codec::Binary).unwrap();
+    // Every bit of the header and the first payload bytes, then a stride
+    // through the rest (each flip decodes the whole frame).
+    let positions = (0..64).chain((64..frame.len()).step_by(7));
+    for pos in positions {
+        for bit in 0..8 {
+            let mut bent = frame.clone();
+            bent[pos] ^= 1 << bit;
+            match frame::decode_value::<Checkpoint>(&bent) {
+                Ok((back, _)) => {
+                    assert_eq!(back, checkpoint, "flip at {pos}.{bit} forged a checkpoint")
+                }
+                Err(FrameError::Corrupt) | Err(FrameError::Torn) => {}
+            }
         }
     }
 }

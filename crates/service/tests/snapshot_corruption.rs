@@ -1,14 +1,14 @@
 //! Malformed and corrupted snapshots must surface as typed errors, never
 //! panics: truncated JSON payloads fail to parse, duplicate tenant entries
-//! are refused by [`restore_tenants`], job-conservation violations,
-//! misrouted tenants and out-of-range shard indices are caught by
-//! [`ShardSnapshot::validate`] (the check the supervisor runs before it
-//! adopts a checkpoint), and engine state tampering is detected by
-//! restore-time replay verification ([`ServiceError::Divergence`]). A
-//! property test mutates valid serializations byte-wise and checks that
-//! every outcome is parse-error, typed validation error, or a benign
-//! equivalent snapshot — never a panic and never a silently-adopted corrupt
-//! state.
+//! are refused by [`restore_tenants`], and job-conservation violations,
+//! misrouted tenants, out-of-range shard indices, tampered engine counters
+//! and malformed inboxes are caught by structural validation
+//! ([`ShardSnapshot::validate`], the check the supervisor runs before it
+//! adopts a checkpoint, and [`Tenant::restore`], which runs the same
+//! per-tenant checks before loading a snapshot). A property test mutates
+//! valid serializations byte-wise and checks that every outcome is
+//! parse-error, typed validation error, or a benign snapshot that still
+//! validates — never a panic and never a silently-adopted corrupt state.
 
 use proptest::prelude::*;
 use rrs_core::{ColorId, ColorTable};
@@ -97,16 +97,64 @@ fn conservation_violations_and_tampered_state_are_typed_errors() {
         Err(ServiceError::Corrupt(_))
     ));
     // Tamper conservatively: bump the recorded reconfiguration cost, which
-    // leaves job conservation intact so structural validation passes — but
-    // replay verification must catch the divergence.
+    // leaves job conservation intact — but breaks
+    // `cost.reconfig == reconfig_events · Δ`, which validation checks.
     let mut subtle = snap.tenants[0].1.clone();
     subtle.engine.result.cost.reconfig = subtle.engine.result.cost.reconfig.wrapping_add(1);
-    assert!(subtle.conserves_jobs(), "tamper must stay structurally valid");
+    assert!(subtle.conserves_jobs(), "tamper must keep jobs conserved");
     assert!(
-        matches!(Tenant::restore(subtle), Err(ServiceError::Divergence(_))),
-        "replay verification missed tampered engine state"
+        matches!(Tenant::restore(subtle.clone()), Err(ServiceError::Corrupt(_))),
+        "restore missed tampered engine state"
     );
+    let mut bad = snap.clone();
+    bad.tenants[0].1 = subtle;
+    assert!(matches!(
+        bad.validate(SHARDS, |id| shard_for(id, SHARDS)),
+        Err(ServiceError::Corrupt(_))
+    ));
     sup.finish().unwrap();
+}
+
+/// A two-color tenant snapshot whose inbox is replaced by `inbox` must be
+/// refused, by restore and by shard validation alike.
+fn assert_inbox_refused(inbox: Vec<(ColorId, u64)>) {
+    let mut t = Tenant::new(spec()).unwrap();
+    for round in 0..4u64 {
+        t.submit(&[(ColorId((round % 2) as u32), 2)]).unwrap();
+        t.tick().unwrap();
+    }
+    let mut snap = t.snapshot();
+    snap.inbox = inbox.clone();
+    let shard = ShardSnapshot { shard: 0, tenants: vec![(0, snap.clone())] };
+    assert!(
+        matches!(shard.validate(1, |_| 0), Err(ServiceError::Corrupt(_))),
+        "validation accepted inbox {inbox:?}"
+    );
+    assert!(
+        matches!(Tenant::restore(snap), Err(ServiceError::Corrupt(_))),
+        "restore accepted inbox {inbox:?}"
+    );
+}
+
+#[test]
+fn inbox_with_a_repeated_color_is_refused() {
+    // Restored as a map, the second entry would overwrite the first and
+    // lose 2 jobs from all accounting.
+    assert_inbox_refused(vec![(ColorId(1), 2), (ColorId(1), 3)]);
+}
+
+#[test]
+fn inbox_with_an_unknown_color_is_refused() {
+    // The next tick would take the inbox and fail with `UnknownColor`,
+    // so the jobs would be neither arrived nor shed.
+    assert_inbox_refused(vec![(ColorId(0), 1), (ColorId(7), 4)]);
+}
+
+#[test]
+fn inbox_with_a_zero_count_is_refused() {
+    // `submit` never stores a zero count; one would still raise the
+    // engine's drain horizon on the next tick.
+    assert_inbox_refused(vec![(ColorId(0), 0)]);
 }
 
 #[test]
@@ -138,8 +186,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Byte-level mutations of a valid snapshot serialization: every mutant
-    /// either fails to parse, fails typed validation/replay, or is a benign
-    /// snapshot that still validates — no panic, no silent corruption.
+    /// either fails to parse, fails typed validation, or is a benign
+    /// snapshot that still validates and keeps running — no panic, no
+    /// silent corruption.
     #[test]
     fn mutated_serializations_never_panic(
         pos_seed in 0u64..10_000,
@@ -161,20 +210,22 @@ proptest! {
             Ok(parsed) => {
                 // Whatever parsed must either restore cleanly (benign
                 // mutation, e.g. inside insignificant whitespace) or be
-                // caught by replay verification / engine construction.
+                // caught by validation / engine construction.
                 match Tenant::restore(parsed) {
-                    Ok(rebuilt) => {
+                    Ok(mut rebuilt) => {
+                        // A snapshot that validates runs on: restore checks
+                        // every invariant the engine and policy rely on.
+                        for round in 0..4u64 {
+                            rebuilt.submit(&[(ColorId((round % 2) as u32), 2)]).unwrap();
+                            rebuilt.tick().unwrap();
+                        }
+                        let p = rebuilt.progress();
                         prop_assert!(
-                            rebuilt.progress().arrived
-                                == rebuilt.progress().executed
-                                    + rebuilt.progress().dropped
-                                    + rebuilt.progress().pending,
+                            p.arrived == p.executed + p.dropped + p.pending,
                             "restored mutant violates conservation"
                         );
                     }
-                    Err(ServiceError::Divergence(_))
-                    | Err(ServiceError::Engine(_))
-                    | Err(ServiceError::Corrupt(_)) => {}
+                    Err(ServiceError::Engine(_)) | Err(ServiceError::Corrupt(_)) => {}
                     Err(other) => prop_assert!(false, "unexpected error kind: {other:?}"),
                 }
             }
