@@ -6,20 +6,36 @@
 //! ```text
 //! <root>/
 //!   shard-000/
-//!     wal-0.seg        segment whose first record has absolute offset 0
-//!     wal-417.seg      next segment (first record offset 417)
-//!     ck-400.ck        checkpoint covering the first 400 records
-//!     ck-800.ck        newest retained checkpoint
+//!     wal-800.seg      segment whose first record has absolute offset 800,
+//!                      cut when the checkpoint at 800 was adopted
+//!     wal-1200.seg     the open segment, cut at the checkpoint at 1200
+//!     ck-800.ck        oldest retained checkpoint: the first 800 records
+//!     ck-1200.ck       newest retained checkpoint
 //!   shard-001/ …
 //! ```
 //!
 //! Segments and checkpoints both hold [`super::frame`]-encoded records, so
-//! every byte on disk is covered by a CRC. Appends stage frames in memory;
-//! [`ShardStore::commit`] writes the whole stage with **one** write + fsync
-//! (the group commit — the supervisor calls it once per tick epoch, before
-//! any command is enqueued). Checkpoint files are written to a temp name,
-//! fsynced, then renamed, so a crash never leaves a half checkpoint under a
-//! live name.
+//! every byte on disk is covered by a CRC. Adopting a checkpoint closes the
+//! open segment, so segments start at checkpoint offsets. A segment also
+//! closes once it reaches `max_segment_bytes` (the only cut when
+//! checkpoints are off), and the segment a cold start recovers last stays
+//! closed. Retention keeps two checkpoints and deletes every segment that
+//! ends at or below the older one, so the retained WAL is one checkpoint
+//! interval plus the open one. Checkpoint files are written to a temp
+//! name, fsynced, then renamed, so a crash never leaves a half checkpoint
+//! under a live name.
+//!
+//! ## The frame mirror
+//!
+//! The store keeps each retained segment's bytes in memory, exactly what
+//! its file holds or will hold once the next commit writes the rest, with
+//! the byte offset of each record's frame. [`ShardStore::append`] encodes a
+//! record once, straight into the open segment's buffer;
+//! [`ShardStore::commit`] writes the bytes not yet written with **one**
+//! write + fsync (the group commit — the supervisor calls it once per tick
+//! epoch, before any command is enqueued); [`ShardStore::records_from`]
+//! decodes on demand. Worker-death recovery reads the mirror, never the
+//! disk.
 //!
 //! ## Recovery (open)
 //!
@@ -28,11 +44,18 @@
 //! restored by replay) refuses the cold start with
 //! [`ServiceError::UnsupportedFormat`] before any file is touched: such a
 //! directory is neither migrated nor quarantined. Otherwise the scan keeps
-//! the valid checkpoints (quarantining corrupt ones) and walks the
-//! segments in offset order, stopping at the first torn or corrupt frame:
-//! the torn tail is truncated away, later segments (unreachable once the
-//! offset chain breaks) are deleted, and the surviving prefix becomes the
-//! in-memory mirror. Each file is read once, with a plain `fs::read`.
+//! the valid checkpoints (quarantining corrupt ones) and reads the
+//! segments in offset order into the mirror, checking each frame's CRC
+//! without decoding it. The first torn or corrupt frame ends the log: the
+//! torn tail is truncated away and later segments (unreachable once the
+//! offset chain breaks) are quarantined. Then only the frames past the
+//! newest checkpoint are decoded, each once, and those records are what
+//! the cold start replays; a CRC-valid frame among them that does not
+//! decode ends the log the same way. Frames below the newest checkpoint
+//! stay undecoded. A fallback to an older checkpoint decodes them through
+//! [`ShardStore::try_records_from`], which fails on a frame that does not
+//! decode instead of returning a shorter suffix. Each file is read once,
+//! with a plain `fs::read`.
 //!
 //! ## Self-healing
 //!
@@ -45,8 +68,9 @@
 //! the store drops to **degraded memory-mirror mode**: appends keep landing
 //! in the mirror (the live service stays correct and keeps serving), every
 //! subsequent commit doubles as a re-attach probe, and the first probe that
-//! can write again *backfills* the records missed while degraded (tracked by
-//! `written_end`) before resuming normal commits — a heal event. Recovery
+//! can write again *backfills* the frames missed while degraded (each
+//! segment's bytes past what its file holds, copied from the mirror without
+//! re-encoding) before resuming normal commits — a heal event. Recovery
 //! scans move unreadable or unreachable files into `.quarantine/` (with a
 //! `MANIFEST` line per file) instead of deleting evidence. All of it is
 //! counted: `retries`, `quarantines`, `degraded_commits`, `heal_events`.
@@ -78,7 +102,7 @@ use super::memory::RETAINED;
 use super::{ShardStore, StorageBackend, StorageStats};
 use crate::error::{ServiceError, ServiceResult};
 use crate::faults::{self, FaultKind, ShardFaults};
-use crate::wal::{Checkpoint, Wal, WalRecord};
+use crate::wal::{Checkpoint, WalRecord};
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -96,8 +120,9 @@ pub struct DiskConfig {
     /// tests that don't model power loss — without fsync a "committed"
     /// record can still vanish in a real crash.
     pub fsync: bool,
-    /// Rotate to a new segment file once the current one reaches this many
-    /// bytes (checked after each commit).
+    /// Close the open segment once it reaches this many bytes (checked
+    /// after each commit). Adopting a checkpoint closes it too, so the cap
+    /// only decides segment size with `checkpoint_every 0` or past it.
     pub max_segment_bytes: u64,
     /// Write attempts per group commit (including the first) before a
     /// transient IO failure degrades the store to memory-mirror mode.
@@ -309,16 +334,46 @@ impl StorageBackend for DiskBackend {
     }
 }
 
-/// One on-disk segment file.
-#[derive(Debug, Clone)]
-struct SegmentMeta {
+/// One retained WAL segment in the frame mirror.
+#[derive(Debug, Default)]
+struct Segment {
     /// Absolute offset of the segment's first record.
     start: u64,
-    /// Records currently in the segment.
-    records: u64,
-    /// Valid bytes currently in the segment.
-    bytes: u64,
-    path: PathBuf,
+    /// The segment's frames, back to back: what its file holds up to
+    /// `written`, then what the next commit writes.
+    bytes: Vec<u8>,
+    /// Byte offset in `bytes` of each record's frame.
+    frames: Vec<usize>,
+    /// Leading bytes of `bytes` already written to the file.
+    written: usize,
+    /// Whether appends still extend this segment. Only the last one can be
+    /// open.
+    open: bool,
+}
+
+impl Segment {
+    /// An empty open segment whose first record will have offset `start`.
+    fn new(start: u64) -> Self {
+        Segment { start, open: true, ..Segment::default() }
+    }
+
+    /// Absolute offset one past the segment's last record.
+    fn end(&self) -> u64 {
+        self.start + self.frames.len() as u64
+    }
+
+    /// Record `i`'s payload: its frame less the header.
+    fn payload(&self, i: usize) -> &[u8] {
+        let end = self.frames.get(i + 1).copied().unwrap_or(self.bytes.len());
+        &self.bytes[self.frames[i] + frame::FRAME_HEADER..end]
+    }
+
+    /// Drops record `i` and every record after it.
+    fn truncate(&mut self, i: usize) {
+        self.bytes.truncate(self.frames[i]);
+        self.frames.truncate(i);
+        self.written = self.written.min(self.bytes.len());
+    }
 }
 
 #[derive(Debug)]
@@ -328,36 +383,36 @@ struct DiskStore {
     config: DiskConfig,
     counters: Arc<Counters>,
     faults: Arc<ShardFaults>,
-    /// In-memory mirror of the retained log: worker-death recovery replays
-    /// from here without touching the disk.
-    mirror: Wal,
+    /// The frame mirror: retained segments, ascending by start offset. The
+    /// last one is the write target; worker-death recovery decodes from
+    /// here without touching the disk.
+    segments: Vec<Segment>,
+    /// The first retained record, where `records_from` clamps. Records
+    /// below the oldest retained checkpoint leave the window even while
+    /// their segment stays.
+    base: u64,
+    /// The records past the newest checkpoint, decoded once at cold start
+    /// for the replay, with the offset of the first. Dropped at the first
+    /// append.
+    recovered: Option<(u64, Vec<WalRecord>)>,
     /// Retained checkpoints, oldest → newest (mirrors the files on disk).
     checkpoints: Vec<Checkpoint>,
-    /// On-disk segments, ascending by start offset; the last one is the
-    /// write target while `writer` is open.
-    segments: Vec<SegmentMeta>,
-    /// Open append handle into the last segment (None ⇒ the next commit
-    /// starts a fresh segment).
+    /// Open append handle into the segment starting at `tail` (None ⇒ the
+    /// next write opens it).
     writer: Option<File>,
-    /// Frames staged since the last commit.
-    staged: Vec<u8>,
-    staged_records: u64,
-    /// Absolute offset of the first staged record.
-    staged_start: u64,
+    /// Start offset of the segment the last write went to: the file a
+    /// failed write or fsync may have left dirty.
+    tail: u64,
     /// Group commits so far (1-based fault arming key).
     commit_count: u64,
     /// True once a torn-write/partial-fsync fault fired: all further disk
     /// writes are silently dropped.
     wedged: bool,
-    /// Absolute offset one past the last record *successfully written* to a
-    /// segment file. While attached this tracks the committed end; while
-    /// degraded it marks where the heal backfill must start.
-    written_end: u64,
     /// True ⇒ degraded memory-mirror mode: the disk is failing, appends go
     /// to the mirror only, and every commit doubles as a re-attach probe.
     degraded: bool,
-    /// A failed write attempt may have left garbage past the last segment's
-    /// valid byte count; healed tails are shaved back before reuse.
+    /// A failed write attempt may have left garbage past the `tail`
+    /// segment's written bytes; healed tails are shaved back before reuse.
     dirty_tail: bool,
     /// Injected [`FaultKind::TransientIo`]: write attempts left to fail.
     attempt_failures: u64,
@@ -433,16 +488,14 @@ impl DiskStore {
             config,
             counters,
             faults,
-            mirror: Wal::new(),
-            checkpoints: Vec::new(),
             segments: Vec::new(),
+            base: 0,
+            recovered: None,
+            checkpoints: Vec::new(),
             writer: None,
-            staged: Vec::new(),
-            staged_records: 0,
-            staged_start: 0,
+            tail: 0,
             commit_count: 0,
             wedged: false,
-            written_end: 0,
             degraded: false,
             dirty_tail: false,
             attempt_failures: 0,
@@ -452,13 +505,12 @@ impl DiskStore {
             pipe,
         };
         store.recover_from_dir()?;
-        store.written_end = store.mirror.end();
         Ok(store)
     }
 
     /// Scans the shard directory, repairing torn tails and dropping
-    /// unreachable data, and rebuilds the in-memory mirror + checkpoint
-    /// window. See the module docs for the algorithm.
+    /// unreachable data, rebuilds the frame mirror + checkpoint window, and
+    /// decodes the replay suffix. See the module docs for the algorithm.
     fn recover_from_dir(&mut self) -> ServiceResult<()> {
         let mut seg_files: Vec<(u64, PathBuf)> = Vec::new();
         let mut ck_files: Vec<(u64, PathBuf)> = Vec::new();
@@ -513,21 +565,20 @@ impl DiskStore {
             self.remove_file(&self.ck_path(stale.wal_offset));
         }
 
-        // Segments: walk in offset order while the offset chain stays
-        // contiguous; the first torn/corrupt frame (or gap) ends the valid
-        // prefix — the tail file is truncated, later files deleted.
-        let mut records: Vec<WalRecord> = Vec::new();
-        let mut segments: Vec<SegmentMeta> = Vec::new();
-        let base = seg_files.first().map(|&(off, _)| off).unwrap_or(0);
-        let mut next_start = base;
+        // Segments: read each once into the mirror and walk its frames'
+        // CRCs, without decoding, in offset order while the offset chain
+        // stays contiguous; the first torn/corrupt frame (or gap) ends the
+        // valid prefix — the tail file is truncated, later files
+        // quarantined.
+        self.base = seg_files.first().map(|&(off, _)| off).unwrap_or(0);
         let mut broken = false;
         for (off, path) in &seg_files {
-            if broken || *off != next_start {
+            if broken || *off != self.end() {
                 self.quarantine_file(path, "unreachable after log break");
                 broken = true;
                 continue;
             }
-            let bytes = match self.read_file(path) {
+            let mut bytes = match self.read_file(path) {
                 Ok(b) => b,
                 Err(_) => {
                     self.counters.corrupt_frames_dropped.fetch_add(1, Ordering::Relaxed);
@@ -536,7 +587,7 @@ impl DiskStore {
                     continue;
                 }
             };
-            let (decoded, valid_len, err) = frame::scan_values::<WalRecord>(&bytes);
+            let (frames, valid_len, err) = frame::scan_frames(&bytes);
             if let Some(err) = err {
                 let reason = match err {
                     FrameError::Torn => {
@@ -549,69 +600,134 @@ impl DiskStore {
                     }
                 };
                 broken = true;
-                if decoded.is_empty() {
+                if frames.is_empty() {
                     self.quarantine_file(path, reason);
-                } else {
-                    self.truncate_file(path, valid_len as u64)?;
+                    continue;
                 }
+                self.truncate_file(path, valid_len as u64)?;
+                bytes.truncate(valid_len);
             }
-            if decoded.is_empty() && err.is_some() {
-                continue;
-            }
-            next_start = off + decoded.len() as u64;
-            segments.push(SegmentMeta {
-                start: *off,
-                records: decoded.len() as u64,
-                bytes: valid_len as u64,
-                path: path.clone(),
-            });
-            records.extend(decoded);
+            // An empty file can only end the chain (its successor would
+            // share its name); it stays open so the next append fills it.
+            let open = frames.is_empty();
+            self.segments.push(Segment { start: *off, written: bytes.len(), bytes, frames, open });
         }
 
-        let scan_end = base + records.len() as u64;
-        self.mirror = Wal::from_parts(base, records);
-        if let Some(newest) = checkpoints.last().cloned() {
-            if newest.wal_offset > scan_end {
+        if let Some(newest) = checkpoints.last().map(|c| c.wal_offset) {
+            if newest > self.end() {
                 // The log lost records the checkpoint already covers (e.g.
                 // a corrupt frame below the checkpoint offset). The
                 // checkpoint alone is the recovered state; the unreadable
                 // log is discarded wholesale — and with it every older
                 // checkpoint, whose replay suffix no longer exists.
-                for seg in &segments {
-                    self.remove_file(&seg.path);
+                for seg in std::mem::take(&mut self.segments) {
+                    self.remove_file(&self.seg_path(seg.start));
                 }
-                segments.clear();
+                let kept = checkpoints.split_off(checkpoints.len() - 1);
                 for stale in &checkpoints {
-                    if stale.wal_offset != newest.wal_offset {
+                    if stale.wal_offset != newest {
                         self.remove_file(&self.ck_path(stale.wal_offset));
                     }
                 }
-                checkpoints = vec![newest.clone()];
-                self.mirror = Wal::from_parts(newest.wal_offset, Vec::new());
-            } else {
-                // Records below the oldest retained checkpoint are dead
-                // weight in the mirror (their files are reclaimed below).
-                if let Some(oldest) = checkpoints.first() {
-                    self.mirror.truncate_to(oldest.wal_offset);
-                }
+                checkpoints = kept;
+                self.base = newest;
             }
         }
-        if checkpoints.is_empty() && self.mirror.end() - self.mirror.len() as u64 == 0 {
+        if checkpoints.is_empty() && self.base == 0 {
             // Full history on disk (or an empty directory): genesis is a
             // sound recovery base. When history was GC'd and every
             // checkpoint is gone, the window stays empty so recovery fails
             // loudly instead of silently replaying from the wrong base.
             checkpoints.push(Checkpoint::genesis(self.shard));
         }
+        // Decode the replay suffix, and only it: the records past the
+        // newest checkpoint. One that does not decode ends the log there.
+        if let Some(from) = checkpoints.last().map(|c| c.wal_offset.max(self.base)) {
+            let mut suffix = Vec::new();
+            if let Err(at) = self.decode_into(from, &mut suffix) {
+                self.cut_log(at)?;
+            }
+            self.recovered = Some((from, suffix));
+        }
+        // Records below the oldest retained checkpoint leave the window, and
+        // cold-start GC reclaims the segment files that end at or below it
+        // now rather than at the next checkpoint adoption.
         self.checkpoints = checkpoints;
-        self.segments = segments;
-        // Cold-start GC: segment files wholly below the oldest retained
-        // checkpoint can never be replayed again; reclaim them now rather
-        // than carrying them until the next checkpoint adoption.
         if let Some(oldest) = self.checkpoints.first().map(|c| c.wal_offset) {
+            self.base = self.base.max(oldest.min(self.end()));
             self.collect_segments(oldest);
         }
         Ok(())
+    }
+
+    /// Ends the log before record `at`, a CRC-valid frame that does not
+    /// decode, as a corrupt frame ends it: its segment is truncated before
+    /// it (quarantined when it is the segment's first) and every later
+    /// segment is quarantined as unreachable.
+    fn cut_log(&mut self, at: u64) -> ServiceResult<()> {
+        self.counters.corrupt_frames_dropped.fetch_add(1, Ordering::Relaxed);
+        let idx = self.segments.partition_point(|s| s.end() <= at);
+        let Some(seg) = self.segments.get(idx) else {
+            return Ok(());
+        };
+        let (path, i) = (self.seg_path(seg.start), (at - seg.start) as usize);
+        let valid_len = seg.frames[i];
+        let later = self.segments.split_off(idx + 1);
+        if i == 0 {
+            self.quarantine_file(&path, "no valid frames (corrupt)");
+            self.segments.pop();
+        } else {
+            self.truncate_file(&path, valid_len as u64)?;
+            self.segments[idx].truncate(i);
+        }
+        for seg in later {
+            self.quarantine_file(&self.seg_path(seg.start), "unreachable after log break");
+        }
+        Ok(())
+    }
+
+    /// The absolute offset one past the last record in the mirror.
+    fn end(&self) -> u64 {
+        self.segments.last().map_or(self.base, Segment::end)
+    }
+
+    /// Decodes the retained records from `from` (clamped to the window)
+    /// onto `out`: the cold start's decoded suffix where it covers them,
+    /// the mirror's frames otherwise. Stops at the first frame that does
+    /// not decode and returns its offset; once the cold start has cut the
+    /// log, only a frame read back from disk below the newest checkpoint
+    /// can fail.
+    fn decode_into(&self, from: u64, out: &mut Vec<WalRecord>) -> Result<(), u64> {
+        let from = from.max(self.base);
+        if let Some((at, suffix)) = &self.recovered {
+            if from >= *at {
+                out.extend_from_slice(suffix.get((from - at) as usize..).unwrap_or_default());
+                return Ok(());
+            }
+        }
+        out.reserve(self.end().saturating_sub(from) as usize);
+        let first = self.segments.partition_point(|s| s.end() <= from);
+        for seg in &self.segments[first..] {
+            let skip = from.saturating_sub(seg.start) as usize;
+            for i in skip..seg.frames.len() {
+                match frame::decode_payload(seg.payload(i)) {
+                    Ok(record) => out.push(record),
+                    Err(_) => return Err(seg.start + i as u64),
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The open segment, starting one at the end of the log if the last
+    /// one is closed.
+    fn open_segment(&mut self) -> &mut Segment {
+        if !self.segments.last().is_some_and(|s| s.open) {
+            let start = self.end();
+            self.segments.push(Segment::new(start));
+        }
+        let last = self.segments.len() - 1;
+        &mut self.segments[last]
     }
 
     fn seg_path(&self, start: u64) -> PathBuf {
@@ -704,26 +820,26 @@ impl DiskStore {
     }
 
     /// Clears the wreckage of a failed write attempt so the next attempt
-    /// starts from a chain-valid disk state: an empty just-created segment
-    /// is dropped whole; a partially-extended one is shaved back to its
-    /// last valid byte count.
+    /// starts from a chain-valid disk state: the `tail` segment's file is
+    /// deleted when none of it was written yet, and otherwise shaved back
+    /// to its written bytes and re-fsynced. The mirror keeps every frame.
     fn repair_failed_write(&mut self) -> Result<(), IoFailure> {
         self.writer = None;
-        let Some(meta) = self.segments.last().cloned() else {
+        let Some(seg) = self.segments.iter().find(|s| s.start == self.tail) else {
             self.dirty_tail = false;
             return Ok(());
         };
-        if meta.records == 0 {
-            self.remove_file(&meta.path);
-            self.segments.pop();
+        let path = self.seg_path(seg.start);
+        if seg.written == 0 {
+            self.remove_file(&path);
             self.dirty_tail = false;
             return Ok(());
         }
         let file = OpenOptions::new()
             .write(true)
-            .open(&meta.path)
+            .open(&path)
             .map_err(|e| classify("reopen tail", self.shard, &e))?;
-        file.set_len(meta.bytes).map_err(|e| classify("shave tail", self.shard, &e))?;
+        file.set_len(seg.written as u64).map_err(|e| classify("shave tail", self.shard, &e))?;
         if self.config.fsync {
             file.sync_data().map_err(|e| classify("fsync tail", self.shard, &e))?;
         }
@@ -741,17 +857,16 @@ impl DiskStore {
         Some(self.outage_permanent)
     }
 
-    /// Writes one group commit's bytes starting at absolute record offset
-    /// `start`, retrying transient failures with seeded-jittered exponential
+    /// Writes segment `idx` up to byte `upto` as one group commit,
+    /// retrying transient failures with seeded-jittered exponential
     /// backoff. `forced` carries an injected whole-commit outage
     /// (`Some(permanent)`); injected single-attempt failures come from
     /// `attempt_failures`. On `Err` the disk state has been repaired
     /// best-effort and the caller should degrade.
     fn write_with_retry(
         &mut self,
-        start: u64,
-        bytes: &[u8],
-        records: u64,
+        idx: usize,
+        upto: usize,
         forced: Option<bool>,
     ) -> Result<(), IoFailure> {
         let attempts = if forced == Some(true) { 1 } else { self.config.io_retries.max(1) };
@@ -779,7 +894,7 @@ impl DiskStore {
             let was_injected = injected.is_some();
             let result = match injected {
                 Some(failure) => Err(failure),
-                None => self.write_to_segment(start, bytes, records),
+                None => self.write_to_segment(idx, upto),
             };
             match result {
                 Ok(()) => return Ok(()),
@@ -801,30 +916,35 @@ impl DiskStore {
         Err(last)
     }
 
-    /// Writes `bytes` to the current segment (opening a fresh one at
-    /// `start` if none is open), arranges its fsync per config — pipelined
+    /// Writes segment `idx`'s bytes from `written` to `upto` into its file
+    /// (created when none of the segment is written yet, reopened for
+    /// append otherwise), arranges their fsync per config — pipelined
     /// through the background thread when available, inline otherwise —
-    /// updates metadata, and rotates when the segment is full.
-    fn write_to_segment(
-        &mut self,
-        start: u64,
-        bytes: &[u8],
-        records: u64,
-    ) -> Result<(), IoFailure> {
-        if self.writer.is_none() {
+    /// and advances `written`. A closed segment, or one that reached
+    /// `max_segment_bytes` (which closes it), releases the writer, so the
+    /// next write opens the next segment's file.
+    fn write_to_segment(&mut self, idx: usize, upto: usize) -> Result<(), IoFailure> {
+        let start = self.segments[idx].start;
+        if self.writer.is_none() || self.tail != start {
+            self.tail = start;
             let path = self.seg_path(start);
+            let fresh = self.segments[idx].written == 0;
             // `create(true)` + truncate: a same-named leftover could only be
-            // an invalid tail already dropped by the recovery scan.
-            let file = OpenOptions::new()
-                .write(true)
-                .create(true)
-                .truncate(true)
-                .open(&path)
-                .map_err(|e| classify("segment create", self.shard, &e))?;
-            self.segments.push(SegmentMeta { start, records: 0, bytes: 0, path });
-            self.counters.segments_created.fetch_add(1, Ordering::Relaxed);
+            // an invalid tail already dropped by the recovery scan, or the
+            // wreck of a failed create.
+            let file = if fresh {
+                OpenOptions::new().write(true).create(true).truncate(true).open(&path)
+            } else {
+                OpenOptions::new().append(true).open(&path)
+            }
+            .map_err(|e| classify("segment open", self.shard, &e))?;
+            if fresh {
+                self.counters.segments_created.fetch_add(1, Ordering::Relaxed);
+            }
             self.writer = Some(file);
         }
+        let seg = &self.segments[idx];
+        let bytes = &seg.bytes[seg.written..upto];
         let Some(file) = self.writer.as_mut() else {
             return Err(IoFailure { transient: false, msg: "segment writer vanished".into() });
         };
@@ -855,22 +975,20 @@ impl DiskStore {
             }
         }
         self.counters.bytes_written.fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        let Some(meta) = self.segments.last_mut() else {
-            return Err(IoFailure { transient: false, msg: "segment metadata vanished".into() });
-        };
-        meta.records += records;
-        meta.bytes += bytes.len() as u64;
-        if meta.bytes >= self.config.max_segment_bytes {
-            self.writer = None; // rotate: next commit starts a new segment
+        let seg = &mut self.segments[idx];
+        seg.written = upto;
+        if !seg.open || upto as u64 >= self.config.max_segment_bytes {
+            seg.open = false;
+            self.writer = None;
         }
-        self.written_end = start + records;
         Ok(())
     }
 
     /// One degraded-mode probe: if the (injected) outage has cleared, shave
-    /// any dirty tail, backfill every record the disk missed from the
-    /// memory mirror, barrier its fsync, and re-attach. Stays degraded on
-    /// any failure — the next commit probes again.
+    /// any dirty tail, backfill from the mirror every frame the disk missed
+    /// (each segment's bytes past what its file holds, in order), barrier
+    /// its fsync, and re-attach. Stays degraded on any failure — the next
+    /// commit probes again.
     fn probe_heal(&mut self) {
         self.counters.degraded_commits.fetch_add(1, Ordering::Relaxed);
         if self.outage_active().is_some() {
@@ -879,18 +997,19 @@ impl DiskStore {
         if self.dirty_tail && self.repair_failed_write().is_err() {
             return;
         }
-        let missed: Vec<WalRecord> = self.mirror.iter_from(self.written_end).cloned().collect();
-        if !missed.is_empty() {
-            let mut buf = Vec::new();
-            for record in &missed {
-                if frame::encode_value_into(record, self.config.codec, &mut buf).is_err() {
-                    return; // unencodable record: stay degraded
-                }
+        let mut backfilled = false;
+        for idx in 0..self.segments.len() {
+            let len = self.segments[idx].bytes.len();
+            if self.segments[idx].written == len {
+                continue;
             }
-            if self.write_to_segment(self.written_end, &buf, missed.len() as u64).is_err() {
+            if self.write_to_segment(idx, len).is_err() {
                 self.dirty_tail = true;
                 return;
             }
+            backfilled = true;
+        }
+        if backfilled {
             self.counters.commits.fetch_add(1, Ordering::Relaxed);
         }
         // The heal only counts once the backfill is *durable*.
@@ -902,29 +1021,26 @@ impl DiskStore {
         self.counters.heal_events.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Deletes segment files that lie entirely below `oldest` (the oldest
+    /// Deletes the segment files that end at or below `oldest` (the oldest
     /// retained checkpoint offset) — their records can never be replayed
-    /// again. A segment still open for writing whose records are all below
-    /// the window is closed first (the next commit rotates to a fresh
-    /// file), so checkpoint-time GC always reclaims the full dead prefix.
-    /// Reclaimed files and bytes feed
-    /// [`StorageStats::wal_segments_reclaimed`] /
+    /// again — and drops them from the mirror. Segments start at checkpoint
+    /// offsets, so this reclaims every interval below the oldest retained
+    /// checkpoint and the retained WAL is one checkpoint interval plus the
+    /// open one. An adoption never collects the last segment: it ends at
+    /// the log's end, past the oldest retained checkpoint. A cold start
+    /// whose only checkpoint sits at the log's end collects every segment,
+    /// and the next append starts one at that offset. Reclaimed files and
+    /// bytes feed [`StorageStats::wal_segments_reclaimed`] /
     /// [`StorageStats::wal_bytes_reclaimed`]. Callers must only invoke this
-    /// with no commit in flight (`put_checkpoint` commits synchronously
-    /// first; recovery runs before the first commit).
+    /// with every segment written and no commit in flight (`put_checkpoint`
+    /// commits synchronously first; recovery runs before the first commit).
     fn collect_segments(&mut self, oldest: u64) {
-        while let Some(seg) = self.segments.first() {
-            if seg.start + seg.records > oldest {
-                break;
-            }
-            if self.segments.len() == 1 && self.writer.is_some() {
-                // Fully-covered open segment: rotate away so it can go too.
-                self.writer = None;
-            }
-            let seg = self.segments.remove(0);
-            self.remove_file(&seg.path);
+        let dead = self.segments.partition_point(|s| s.end() <= oldest);
+        let dead: Vec<Segment> = self.segments.drain(..dead).collect();
+        for seg in dead {
+            self.remove_file(&self.seg_path(seg.start));
             self.counters.wal_segments_reclaimed.fetch_add(1, Ordering::Relaxed);
-            self.counters.wal_bytes_reclaimed.fetch_add(seg.bytes, Ordering::Relaxed);
+            self.counters.wal_bytes_reclaimed.fetch_add(seg.written as u64, Ordering::Relaxed);
         }
     }
 
@@ -959,23 +1075,22 @@ impl Drop for DiskStore {
 
 impl ShardStore for DiskStore {
     fn append(&mut self, record: &WalRecord) -> ServiceResult<u64> {
-        let offset = self.mirror.append(record.clone());
-        // Wedged stores drop writes silently; degraded stores skip staging
-        // too — the mirror holds the record and the heal backfill (keyed on
-        // `written_end`) will write it once the disk answers again.
-        if !self.wedged && !self.degraded {
-            if self.staged_records == 0 {
-                self.staged_start = offset;
-            }
-            // Encode straight into the staging buffer: the group-commit
-            // path allocates nothing per record (the buffer is reused
-            // across commits once it reaches steady-state capacity).
-            let before = self.staged.len();
-            frame::encode_value_into(record, self.config.codec, &mut self.staged)?;
-            let payload = self.staged.len() - before - frame::FRAME_HEADER;
-            self.counters.payload_bytes.fetch_add(payload as u64, Ordering::Relaxed);
-            self.staged_records += 1;
+        self.recovered = None;
+        let offset = self.end();
+        // Encode straight into the open segment's buffer, whatever the disk
+        // is doing: a commit writes it from there, a degraded store's heal
+        // backfills it from there (wedged stores never write it), and
+        // recovery decodes it from there.
+        let codec = self.config.codec;
+        let seg = self.open_segment();
+        let at = seg.bytes.len();
+        if let Err(e) = frame::encode_value_into(record, codec, &mut seg.bytes) {
+            seg.bytes.truncate(at);
+            return Err(e);
         }
+        seg.frames.push(at);
+        let payload = seg.bytes.len() - at - frame::FRAME_HEADER;
+        self.counters.payload_bytes.fetch_add(payload as u64, Ordering::Relaxed);
         Ok(offset)
     }
 
@@ -986,34 +1101,32 @@ impl ShardStore for DiskStore {
 
     fn commit_begin(&mut self) -> ServiceResult<()> {
         if self.wedged {
-            self.staged.clear();
-            self.staged_records = 0;
             return Ok(());
         }
         if self.degraded {
-            // Nothing is staged while degraded; the commit is a probe.
-            self.staged.clear();
-            self.staged_records = 0;
+            // The commit is a probe; the heal writes what it missed.
             self.probe_heal();
             return Ok(());
         }
-        if self.staged.is_empty() {
+        // While attached every commit writes all that is pending, and a
+        // checkpoint commits before it closes a segment, so the pending
+        // frames all sit in the last segment.
+        let Some(idx) = self.segments.len().checked_sub(1) else {
+            return Ok(());
+        };
+        let (written, len) = (self.segments[idx].written, self.segments[idx].bytes.len());
+        if written == len {
             return Ok(());
         }
         self.commit_count += 1;
-        let fault = self.faults.take_storage_fault(self.commit_count);
-        let staged = std::mem::take(&mut self.staged);
-        let staged_records = std::mem::take(&mut self.staged_records);
-        let start = self.staged_start;
-        match fault {
+        match self.faults.take_storage_fault(self.commit_count) {
             Some(FaultKind::TornWrite { keep_bytes }) => {
-                // A crash mid-write: a prefix of the staged frames lands on
+                // A crash mid-write: a prefix of the pending frames lands on
                 // disk (usually cutting a frame in half), then the disk
-                // goes dark. Metadata is not updated — this store never
-                // reads the torn file again; only a cold start will.
-                let keep = (keep_bytes as usize).min(staged.len());
-                self.write_to_segment(start, &staged[..keep], 0)
-                    .map_err(|f| ServiceError::Storage(f.msg))?;
+                // goes dark. This store never reads the torn file again;
+                // only a cold start will.
+                let upto = written.saturating_add(keep_bytes as usize).min(len);
+                self.write_to_segment(idx, upto).map_err(|f| ServiceError::Storage(f.msg))?;
                 self.wedged = true;
                 self.counters.wedged.fetch_add(1, Ordering::Relaxed);
                 return Ok(());
@@ -1026,14 +1139,19 @@ impl ShardStore for DiskStore {
                 return Ok(());
             }
             Some(FaultKind::CorruptCrc) => {
-                // Silent bit rot inside the first staged frame's payload;
-                // the commit itself "succeeds".
-                let mut staged = staged;
-                if staged.len() > frame::FRAME_HEADER {
-                    staged[frame::FRAME_HEADER] ^= 0xFF;
-                }
-                self.write_to_segment(start, &staged, staged_records)
-                    .map_err(|f| ServiceError::Storage(f.msg))?;
+                // Silent bit rot inside the first pending frame's payload,
+                // on disk only: the mirror keeps the intact byte. The commit
+                // itself "succeeds".
+                let at = written + frame::FRAME_HEADER;
+                let rot = |seg: &mut Segment| {
+                    if let Some(byte) = seg.bytes.get_mut(at) {
+                        *byte ^= 0xFF;
+                    }
+                };
+                rot(&mut self.segments[idx]);
+                let wrote = self.write_to_segment(idx, len);
+                rot(&mut self.segments[idx]);
+                wrote.map_err(|f| ServiceError::Storage(f.msg))?;
                 self.counters.commits.fetch_add(1, Ordering::Relaxed);
                 return Ok(());
             }
@@ -1054,13 +1172,13 @@ impl ShardStore for DiskStore {
             _ => {}
         }
         let forced = self.outage_active();
-        match self.write_with_retry(start, &staged, staged_records, forced) {
+        match self.write_with_retry(idx, len, forced) {
             Ok(()) => {
                 self.counters.commits.fetch_add(1, Ordering::Relaxed);
                 Ok(())
             }
             Err(_failure) => {
-                // Self-healing: the records live on in the mirror; serve
+                // Self-healing: the frames live on in the mirror; serve
                 // from memory and heal once the disk answers again.
                 self.enter_degraded();
                 Ok(())
@@ -1079,11 +1197,26 @@ impl ShardStore for DiskStore {
     }
 
     fn end(&self) -> u64 {
-        self.mirror.end()
+        DiskStore::end(self)
     }
 
     fn records_from(&self, from: u64) -> Vec<WalRecord> {
-        self.mirror.iter_from(from).cloned().collect()
+        let mut records = Vec::new();
+        // A frame that does not decode ends the list; `try_records_from`
+        // reports it instead.
+        let _ = self.decode_into(from, &mut records);
+        records
+    }
+
+    fn try_records_from(&self, from: u64) -> ServiceResult<Vec<WalRecord>> {
+        let mut records = Vec::new();
+        self.decode_into(from, &mut records).map_err(|at| {
+            ServiceError::Corrupt(format!(
+                "shard {}: WAL record {at} passes its CRC but does not decode",
+                self.shard
+            ))
+        })?;
+        Ok(records)
     }
 
     fn put_checkpoint(&mut self, checkpoint: Checkpoint) -> ServiceResult<()> {
@@ -1121,11 +1254,17 @@ impl ShardStore for DiskStore {
                 self.counters.checkpoints_pruned.fetch_add(1, Ordering::Relaxed);
             }
         }
+        // Cut the segment here: the next append starts a new one at the
+        // checkpoint's offset, so GC reclaims whole checkpoint intervals.
+        if let Some(seg) = self.segments.last_mut() {
+            seg.open = false;
+        }
+        self.writer = None;
         if let Some(oldest) = self.checkpoints.first().map(|c| c.wal_offset) {
-            // Never truncate the mirror past `written_end`: while degraded
-            // (or wedged) it still holds records the disk hasn't seen, and
-            // the heal backfill replays exactly `written_end..end`.
-            self.mirror.truncate_to(oldest.min(self.written_end));
+            // Records below the oldest retained checkpoint leave the
+            // window. While degraded (or wedged) GC waits: the heal
+            // backfill still writes the segments the disk missed.
+            self.base = self.base.max(oldest);
             if attached {
                 self.collect_segments(oldest);
             }
@@ -1453,6 +1592,37 @@ mod tests {
         let store2 = open_store(&mut backend2, 0);
         assert_eq!(store2.end(), 6, "degraded-era records were backfilled");
         assert_eq!(store2.records_from(0), (0..6).map(|i| submit(i, 1)).collect::<Vec<_>>());
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn heal_backfills_every_segment_the_outage_missed() {
+        let root = temp_root("heal-cut");
+        let mut cfg = DiskConfig::new(&root);
+        cfg.io_backoff = Duration::from_micros(10);
+        let mut backend = DiskBackend::new(cfg.clone());
+        let faults = Arc::new(ShardFaults::new(vec![Fault {
+            shard: 0,
+            at_tick: 2, // commit 2 and the next two probes fail
+            kind: FaultKind::IoErrorBurst { len: 3 },
+        }]));
+        let mut store = backend.open_shard(0, faults).unwrap();
+        store.append(&submit(0, 1)).unwrap();
+        store.commit().unwrap();
+        store.append(&submit(1, 1)).unwrap();
+        store.commit().unwrap(); // degrades
+        store.append(&submit(2, 1)).unwrap();
+        // Adopted while degraded: the checkpoint cuts the segment, so the
+        // outage's frames end up in two segments, neither fully written.
+        store.put_checkpoint(Checkpoint { wal_offset: 3, ..Checkpoint::genesis(0) }).unwrap();
+        store.append(&submit(3, 1)).unwrap();
+        store.commit().unwrap(); // the last failing probe
+        store.commit().unwrap(); // heals, with nothing new to commit
+        assert_eq!(backend.stats().heal_events, 1);
+        drop(store);
+        let mut backend2 = DiskBackend::new(cfg);
+        let store2 = open_store(&mut backend2, 0);
+        assert_eq!(store2.records_from(0), (0..4).map(|i| submit(i, 1)).collect::<Vec<_>>());
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -228,23 +228,42 @@ pub fn decode_value<T: Deserialize>(buf: &[u8]) -> Result<(T, usize), FrameError
     Ok((value, consumed))
 }
 
-/// Walks frames from the start of `buf`, decoding values until the buffer is
-/// exhausted or a frame fails. Returns the decoded values, the byte length
-/// of the valid prefix, and the error that stopped the scan (`None` = the
-/// whole buffer was valid frames).
-pub fn scan_values<T: Deserialize>(buf: &[u8]) -> (Vec<T>, usize, Option<FrameError>) {
-    let mut values = Vec::new();
+/// Walks frames from the start of `buf`, checking each CRC without decoding
+/// its payload, until the buffer is exhausted or a frame fails. Returns the
+/// byte offset of each valid frame, the byte length of the valid prefix,
+/// and the error that stopped the walk (`None` = the whole buffer was valid
+/// frames). A CRC-valid payload that does not decode passes; finding it is
+/// left to whoever decodes it.
+pub fn scan_frames(buf: &[u8]) -> (Vec<usize>, usize, Option<FrameError>) {
+    let mut frames = Vec::new();
     let mut at = 0usize;
     while at < buf.len() {
-        match decode_value::<T>(&buf[at..]) {
-            Ok((value, consumed)) => {
-                values.push(value);
+        match decode_frame(&buf[at..]) {
+            Ok((_, consumed)) => {
+                frames.push(at);
                 at += consumed;
             }
+            Err(e) => return (frames, at, Some(e)),
+        }
+    }
+    (frames, at, None)
+}
+
+/// [`scan_frames`], then decodes each valid frame in order, stopping at the
+/// first payload that does not decode. Returns the decoded values, the byte
+/// length of the valid prefix, and the error that stopped the scan (`None`
+/// = the whole buffer was valid frames).
+pub fn scan_values<T: Deserialize>(buf: &[u8]) -> (Vec<T>, usize, Option<FrameError>) {
+    let (frames, valid_len, err) = scan_frames(buf);
+    let mut values = Vec::with_capacity(frames.len());
+    for (i, &at) in frames.iter().enumerate() {
+        let end = frames.get(i + 1).copied().unwrap_or(valid_len);
+        match decode_payload(&buf[at + FRAME_HEADER..end]) {
+            Ok(value) => values.push(value),
             Err(e) => return (values, at, Some(e)),
         }
     }
-    (values, at, None)
+    (values, valid_len, err)
 }
 
 #[cfg(test)]
@@ -334,6 +353,27 @@ mod tests {
         assert_eq!(decoded, records);
         assert_eq!(prefix, valid_len);
         assert_eq!(err, Some(FrameError::Torn));
+    }
+
+    #[test]
+    fn frame_walk_checks_crcs_but_leaves_payloads_undecoded() {
+        let mut buf = Vec::new();
+        encode_value_into(&WalRecord::Tick, Codec::Binary, &mut buf).unwrap();
+        let second = buf.len();
+        // CRC-valid, but no `WalRecord` decodes from it.
+        encode_frame(&[BINARY_TAG, 0xFF], &mut buf);
+        let third = buf.len();
+        encode_value_into(&WalRecord::Tick, Codec::Json, &mut buf).unwrap();
+        let valid_len = buf.len();
+        assert_eq!(scan_frames(&buf), (vec![0, second, third], valid_len, None));
+        // The decoding scan stops at the undecodable frame ...
+        let (decoded, prefix, err) = scan_values::<WalRecord>(&buf);
+        assert_eq!((decoded.len(), prefix, err), (1, second, Some(FrameError::Corrupt)));
+        // ... and both stop at a torn tail or a CRC flip the same way.
+        buf.extend_from_slice(&[7, 0, 0, 0]);
+        assert_eq!(scan_frames(&buf), (vec![0, second, third], valid_len, Some(FrameError::Torn)));
+        buf[third + FRAME_HEADER] ^= 0x01;
+        assert_eq!(scan_frames(&buf), (vec![0, second], third, Some(FrameError::Corrupt)));
     }
 
     #[test]

@@ -79,8 +79,21 @@ pub trait ShardStore: Send {
     fn end(&self) -> u64;
 
     /// The retained records from absolute offset `from` (clamped to the
-    /// retained window) to the end, committed or staged.
+    /// retained window) to the end, committed or staged. The disk store
+    /// keeps its records as CRC-checked frames and decodes them here, on
+    /// demand; a frame that passes its CRC but does not decode ends the
+    /// list there (see [`try_records_from`](ShardStore::try_records_from)).
     fn records_from(&self, from: u64) -> Vec<WalRecord>;
+
+    /// [`records_from`](ShardStore::records_from), except that a retained
+    /// record that does not decode is an error rather than the end of the
+    /// list. Both recovery ladders read their replay suffix through this,
+    /// so a fallback to an older checkpoint across such a frame fails its
+    /// rung instead of replaying a shorter suffix. Default: `records_from`,
+    /// for stores that hold their records decoded.
+    fn try_records_from(&self, from: u64) -> ServiceResult<Vec<WalRecord>> {
+        Ok(self.records_from(from))
+    }
 
     /// Adopts a validated checkpoint: persists it, prunes retention down to
     /// the store's limit, and garbage-collects records older than the

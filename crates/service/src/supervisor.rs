@@ -277,19 +277,14 @@ impl Supervisor {
             // crash-repaired) store.
             let mut restored: Option<(BTreeMap<TenantId, Tenant>, u64, u64)> = None;
             let mut last_err = ServiceError::ShardDown(shard);
-            for ck in store.checkpoints().iter().rev() {
-                let suffix = store.records_from(ck.wal_offset);
-                let outcome = restore_tenants(ck.snapshot.clone()).and_then(|mut tenants| {
-                    replay(&mut tenants, suffix.iter(), config.shed.inbox_watermark).map(
-                        |replayed| {
-                            let ticks = ck.ticks
-                                + suffix
-                                    .iter()
-                                    .filter(|r| matches!(r, WalRecord::Tick))
-                                    .count() as u64;
-                            (tenants, replayed, ticks)
-                        },
-                    )
+            for ck in store.checkpoints().into_iter().rev() {
+                let outcome = restore_tenants(ck.snapshot).and_then(|mut tenants| {
+                    let suffix = store.try_records_from(ck.wal_offset)?;
+                    let replayed =
+                        replay(&mut tenants, suffix.iter(), config.shed.inbox_watermark)?;
+                    let ticks = ck.ticks
+                        + suffix.iter().filter(|r| matches!(r, WalRecord::Tick)).count() as u64;
+                    Ok((tenants, replayed, ticks))
                 });
                 match outcome {
                     Ok(done) => {
@@ -821,12 +816,12 @@ impl Supervisor {
         let seat = &self.seats[shard];
         let mut rebuilt: Option<(BTreeMap<TenantId, Tenant>, u64)> = None;
         let mut last_err = ServiceError::ShardDown(shard);
-        for ck in seat.store.checkpoints().iter().rev() {
-            // The store's retained window includes staged-but-uncommitted
-            // records, so worker-death recovery never loses the tail the
-            // live supervisor already externalized.
-            let suffix = seat.store.records_from(ck.wal_offset);
-            let restored = restore_tenants(ck.snapshot.clone()).and_then(|mut tenants| {
+        for ck in seat.store.checkpoints().into_iter().rev() {
+            let restored = restore_tenants(ck.snapshot).and_then(|mut tenants| {
+                // The store's retained window includes staged-but-uncommitted
+                // records, so worker-death recovery never loses the tail the
+                // live supervisor already externalized.
+                let suffix = seat.store.try_records_from(ck.wal_offset)?;
                 replay(&mut tenants, suffix.iter(), self.config.shed.inbox_watermark)
                     .map(|replayed| (tenants, replayed))
             });

@@ -67,14 +67,6 @@ impl Wal {
         Wal::default()
     }
 
-    /// Reassembles a log from recovered parts: `base` is the absolute
-    /// offset of `records[0]` (storage backends rebuilding their in-memory
-    /// mirror from disk use this; an empty `records` gives an empty log
-    /// whose next append lands at `base`).
-    pub fn from_parts(base: u64, records: Vec<WalRecord>) -> Self {
-        Wal { base, records: records.into() }
-    }
-
     /// The absolute offset one past the last record.
     pub fn end(&self) -> u64 {
         self.base + self.records.len() as u64

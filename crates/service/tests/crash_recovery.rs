@@ -293,7 +293,11 @@ fn torn_write_fault_recovers_the_committed_prefix() {
 fn corrupt_crc_fault_is_detected_and_replay_stops_at_the_rot() {
     let dir = temp_dir("crc");
     const EPOCHS: u64 = 10;
-    let plan = FaultPlan::parse("corrupt-crc@6:0", SHARDS, EPOCHS).unwrap();
+    // Shard 0's commit 10 is round 6, between the two checkpoints the
+    // directory retains (ticks 4 and 8), so the cold start reads the rot. A
+    // rot below the oldest retained checkpoint would be reclaimed with its
+    // segment at the tick-8 adoption and never read.
+    let plan = FaultPlan::parse("corrupt-crc@10:0", SHARDS, EPOCHS).unwrap();
     {
         let mut sup = disk_supervisor(&dir, &plan);
         register_all(&mut sup);
