@@ -13,12 +13,13 @@
 //!               [--policy <name>] [--n N] [--delta D] [--seed S]
 //!               [--queue-cap C] [--fault-plan SPEC] [--checkpoint-every K]
 //!               [--shed-watermark W] [--shed-queue Q]
-//!               [--storage memory|disk] [--data-dir PATH] [--codec binary|json]
+//!               [--storage memory|disk] [--data-dir PATH]
 //! rrs serve [--addr HOST:PORT] [--shards S] [--queue-cap C] [--checkpoint-every K]
-//!           [--storage memory|disk] [--data-dir PATH] [--codec binary|json]
+//!           [--storage memory|disk] [--data-dir PATH]
+//! rrs dump <wal-*.seg|ck-*.ck>
 //! rrs bench-net [--clients C] [--tenants T] [--shards S] [--rounds R] [--parts P]
-//!               [--colors K] [--open-inflight W] [--compress] [--codec binary|json]
-//!               [--quick] [--out <path>] [--check] [--tolerance PCT]
+//!               [--colors K] [--open-inflight W] [--quick] [--out <path>] [--check]
+//!               [--tolerance PCT]
 //! rrs scenarios [--quick] [--seed S] [--tenants T] [--size N] [--horizon H]
 //!               [--policies p1,p2,..] [--workloads w1,w2,..] [--shard-list 1,4]
 //!               [--json] [--out <path>] [--require-separation] [--check-schema <path>]
@@ -29,12 +30,13 @@
 //! rrs bench-service [--tenants T] [--shards S] [--rounds R] [--submits K] [--seed S]
 //!                   [--quick] [--out <path>] [--check] [--tolerance PCT]
 //! rrs bench-storage [--tenants T] [--shards S] [--rounds R] [--submits K] [--seed S]
-//!                   [--checkpoint-every K] [--no-fsync] [--codec binary|json] [--quick]
-//!                   [--out <path>] [--check] [--tolerance PCT]
+//!                   [--checkpoint-every K] [--no-fsync] [--quick] [--out <path>]
+//!                   [--check] [--tolerance PCT]
 //! rrs list
 //! ```
 
 mod chaos;
+mod dump;
 mod net;
 mod scenarios;
 
@@ -55,6 +57,7 @@ fn main() -> ExitCode {
         Some("sweep") => cmd_sweep(&args[1..]),
         Some("serve-sim") => cmd_serve_sim(&args[1..]),
         Some("serve") => net::cmd_serve(&args[1..]),
+        Some("dump") => dump::cmd_dump(&args[1..]),
         Some("bench-net") => net::cmd_bench_net(&args[1..]),
         Some("scenarios") => scenarios::cmd_scenarios(&args[1..]),
         Some("chaos") => chaos::cmd_chaos(&args[1..]),
@@ -76,11 +79,12 @@ fn main() -> ExitCode {
                  rrs sweep --workload <name> --policy <name> [--n-list ..] [--delta-list ..] [--seeds K] [--threads N] [--csv]\n  \
                  rrs serve-sim --tenants T [--shards S] [--rounds R] [--workload <name>] [--policy <name>]\n  \
                                [--n N] [--delta D] [--seed S] [--queue-cap C] [--fault-plan SPEC] [--checkpoint-every K]\n  \
-                               [--shed-watermark W] [--shed-queue Q] [--storage memory|disk] [--data-dir PATH] [--codec binary|json]\n  \
+                               [--shed-watermark W] [--shed-queue Q] [--storage memory|disk] [--data-dir PATH]\n  \
                  rrs serve [--addr HOST:PORT] [--shards S] [--queue-cap C] [--checkpoint-every K]\n  \
-                           [--storage memory|disk] [--data-dir PATH] [--codec binary|json]\n  \
+                           [--storage memory|disk] [--data-dir PATH]\n  \
+                 rrs dump <wal-*.seg|ck-*.ck>\n  \
                  rrs bench-net [--clients C] [--tenants T] [--shards S] [--rounds R] [--parts P] [--colors K]\n  \
-                               [--open-inflight W] [--compress] [--codec binary|json] [--quick] [--out <path>] [--check] [--tolerance PCT]\n  \
+                               [--open-inflight W] [--quick] [--out <path>] [--check] [--tolerance PCT]\n  \
                  rrs scenarios [--quick] [--seed S] [--tenants T] [--size N] [--horizon H] [--policies ..] [--workloads ..]\n  \
                                [--shard-list 1,4] [--json] [--out <path>] [--require-separation] [--check-schema <path>]\n  \
                  rrs chaos [--quick] [--seed S] [--json] [--out <path>] [--data-dir PATH]\n  \
@@ -90,7 +94,7 @@ fn main() -> ExitCode {
                  rrs bench-service [--tenants T] [--shards S] [--rounds R] [--submits K] [--seed S] [--quick]\n  \
                                    [--out <path>] [--check] [--tolerance PCT]\n  \
                  rrs bench-storage [--tenants T] [--shards S] [--rounds R] [--submits K] [--seed S] [--quick]\n  \
-                                   [--checkpoint-every K] [--no-fsync] [--codec binary|json] [--out <path>] [--check] [--tolerance PCT]\n  \
+                                   [--checkpoint-every K] [--no-fsync] [--out <path>] [--check] [--tolerance PCT]\n  \
                  rrs list"
             );
             ExitCode::from(2)
@@ -616,16 +620,6 @@ fn cmd_serve_sim(args: &[String]) -> ExitCode {
         eprintln!("serve-sim: unknown storage backend '{storage}' (memory|disk)");
         return ExitCode::from(2);
     }
-    let codec = match opt_value(args, "--codec") {
-        None => rrs_service::Codec::default(),
-        Some(name) => match rrs_service::Codec::parse(name) {
-            Some(c) => c,
-            None => {
-                eprintln!("serve-sim: unknown codec '{name}' (binary|json)");
-                return ExitCode::from(2);
-            }
-        },
-    };
     let data_dir = opt_value(args, "--data-dir").unwrap_or("rrs-data");
     let fault_spec = opt_value(args, "--fault-plan");
     let wname = opt_value(args, "--workload").unwrap_or("random-batched");
@@ -680,16 +674,12 @@ fn cmd_serve_sim(args: &[String]) -> ExitCode {
         ..SupervisorConfig::default()
     };
     let backend: Box<dyn StorageBackend> = if storage == "disk" {
-        let mut disk_cfg = DiskConfig::new(data_dir);
-        disk_cfg.codec = codec;
+        let disk_cfg = DiskConfig::new(data_dir);
         if let Err(e) = disk_cfg.validate() {
             eprintln!("serve-sim: {e}");
             return ExitCode::from(2);
         }
-        println!(
-            "  durable storage: {data_dir}/ (WAL + checkpoints, pipelined group fsync, \
-             {codec} codec)"
-        );
+        println!("  durable storage: {data_dir}/ (WAL + checkpoints, pipelined group fsync)");
         Box::new(DiskBackend::new(disk_cfg))
     } else {
         Box::new(MemoryBackend::new())
@@ -1345,16 +1335,6 @@ fn cmd_bench_storage(args: &[String]) -> ExitCode {
         .and_then(|v| v.parse().ok())
         .unwrap_or(32);
     let fsync = !flag(args, "--no-fsync");
-    let codec = match opt_value(args, "--codec") {
-        None => rrs_service::Codec::default(),
-        Some(name) => match rrs_service::Codec::parse(name) {
-            Some(c) => c,
-            None => {
-                eprintln!("bench-storage: unknown codec '{name}' (binary|json)");
-                return ExitCode::from(2);
-            }
-        },
-    };
     let tolerance: f64 = opt_value(args, "--tolerance")
         .and_then(|v| v.parse().ok())
         .unwrap_or(50.0);
@@ -1378,7 +1358,7 @@ fn cmd_bench_storage(args: &[String]) -> ExitCode {
     eprintln!(
         "bench-storage: {tenants} tenants on {shards} shards, {rounds} rounds x \
          {submits} submits/tenant, {total_jobs} jobs, checkpoint every \
-         {checkpoint_every}, fsync={fsync}, codec={codec}, seed={seed}"
+         {checkpoint_every}, fsync={fsync}, seed={seed}"
     );
 
     let config = SupervisorConfig { shards, checkpoint_every, ..SupervisorConfig::default() };
@@ -1422,7 +1402,6 @@ fn cmd_bench_storage(args: &[String]) -> ExitCode {
     let _ = std::fs::remove_dir_all(&data_dir);
     let mut disk_config = DiskConfig::new(&data_dir);
     disk_config.fsync = fsync;
-    disk_config.codec = codec;
 
     let (mem_jps, mem_tps, mem_results, _) = run(Box::new(MemoryBackend::new()));
     let (disk_jps, disk_tps, disk_results, storage) =
@@ -1513,7 +1492,6 @@ fn cmd_bench_storage(args: &[String]) -> ExitCode {
                     ("total_jobs".into(), Value::U64(total_jobs)),
                     ("checkpoint_every".into(), Value::U64(checkpoint_every)),
                     ("fsync".into(), Value::Bool(fsync)),
-                    ("codec".into(), Value::Str(codec.name().into())),
                     ("n".into(), Value::U64(n as u64)),
                     ("delta".into(), Value::U64(delta)),
                     ("seed".into(), Value::U64(seed)),

@@ -18,7 +18,7 @@ use crate::{flag, opt_value};
 use rrs_analysis::table::Table;
 use rrs_core::{ColorTable, RunResult};
 use rrs_service::{
-    Codec, DiskBackend, DiskConfig, LatencyHistogramNs, MemoryBackend, NetCounters, NetServer,
+    DiskBackend, DiskConfig, LatencyHistogramNs, MemoryBackend, NetCounters, NetServer,
     NetSink, PolicySpec, RetryPolicy, ServiceError, SinkConfig, StorageBackend, Supervisor,
     SupervisorConfig, TenantSpec,
 };
@@ -90,16 +90,6 @@ pub fn cmd_serve(args: &[String]) -> ExitCode {
         opt_value(args, "--checkpoint-every").and_then(|v| v.parse().ok()).unwrap_or(32);
     let storage = opt_value(args, "--storage").unwrap_or("memory");
     let data_dir = opt_value(args, "--data-dir").unwrap_or("rrs-data");
-    let codec = match opt_value(args, "--codec") {
-        None => Codec::default(),
-        Some(name) => match Codec::parse(name) {
-            Some(c) => c,
-            None => {
-                eprintln!("serve: unknown codec '{name}' (binary|json)");
-                return ExitCode::from(2);
-            }
-        },
-    };
     if shards == 0 {
         eprintln!("serve: --shards must be positive");
         return ExitCode::from(2);
@@ -116,16 +106,12 @@ pub fn cmd_serve(args: &[String]) -> ExitCode {
         ..SupervisorConfig::default()
     };
     let backend: Box<dyn StorageBackend> = if storage == "disk" {
-        let mut disk_cfg = DiskConfig::new(data_dir);
-        disk_cfg.codec = codec;
+        let disk_cfg = DiskConfig::new(data_dir);
         if let Err(e) = disk_cfg.validate() {
             eprintln!("serve: {e}");
             return ExitCode::from(2);
         }
-        println!(
-            "serve: durable storage at {data_dir}/ (WAL + checkpoints, group fsync, \
-             {codec} codec)"
-        );
+        println!("serve: durable storage at {data_dir}/ (WAL + checkpoints, group fsync)");
         Box::new(DiskBackend::new(disk_cfg))
     } else if storage == "memory" {
         Box::new(MemoryBackend::new())
@@ -275,17 +261,6 @@ pub fn cmd_bench_net(args: &[String]) -> ExitCode {
         .unwrap_or(DELAY_BOUNDS.len() as u64);
     let inflight: usize =
         opt_value(args, "--open-inflight").and_then(|v| v.parse().ok()).unwrap_or(8);
-    let compress = flag(args, "--compress");
-    let codec = match opt_value(args, "--codec") {
-        None => Codec::default(),
-        Some(name) => match Codec::parse(name) {
-            Some(c) => c,
-            None => {
-                eprintln!("bench-net: unknown codec '{name}' (binary|json)");
-                return ExitCode::from(2);
-            }
-        },
-    };
     let tolerance: f64 =
         opt_value(args, "--tolerance").and_then(|v| v.parse().ok()).unwrap_or(25.0);
     let out = opt_value(args, "--out").unwrap_or("BENCH_net.json");
@@ -301,7 +276,7 @@ pub fn cmd_bench_net(args: &[String]) -> ExitCode {
     let total_jobs = workload.total_jobs(|_| true);
     eprintln!(
         "bench-net: {tenants} tenants on {shards} shards, {rounds} rounds x {parts} parts, \
-         {total_jobs} jobs, {clients} clients over loopback TCP ({codec} codec)"
+         {total_jobs} jobs, {clients} clients over loopback TCP"
     );
 
     let config = SupervisorConfig {
@@ -315,8 +290,6 @@ pub fn cmd_bench_net(args: &[String]) -> ExitCode {
             backoff: Duration::from_millis(5),
         },
         seed: 1,
-        compress,
-        codec,
         parties: clients as u32,
         max_inflight,
     };
@@ -499,8 +472,6 @@ pub fn cmd_bench_net(args: &[String]) -> ExitCode {
                     ("total_jobs".into(), Value::U64(total_jobs)),
                     ("clients".into(), Value::U64(clients)),
                     ("open_inflight".into(), Value::U64(inflight as u64)),
-                    ("compress".into(), Value::Bool(compress)),
-                    ("codec".into(), Value::Str(codec.name().into())),
                     ("n".into(), Value::U64(n as u64)),
                     ("delta".into(), Value::U64(delta)),
                     ("quick".into(), Value::Bool(quick)),

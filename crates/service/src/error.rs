@@ -83,7 +83,7 @@ impl fmt::Display for ServiceError {
             ServiceError::Net(msg) => write!(f, "net error: {msg}"),
             ServiceError::UnsupportedFormat { path, format } => write!(
                 f,
-                "{path} is a {format}, a format this build no longer reads; \
+                "{path} holds a {format}, a format this build no longer reads; \
                  the directory was left untouched"
             ),
             ServiceError::InvalidDataDir { path, reason } => {

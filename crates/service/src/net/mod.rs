@@ -2,9 +2,8 @@
 //!
 //! Three layers, one invariant:
 //!
-//! * [`wire`] — a length-prefixed, CRC-framed binary codec (the WAL's own
-//!   frame format pointed at a socket) carrying `Request`/`Response`
-//!   messages, with optional per-message PackBits compression.
+//! * [`wire`] — `Request`/`Response` messages in the WAL's own
+//!   length-prefixed, CRC-framed binary format, pointed at a socket.
 //! * [`server`] — [`NetServer`], a thread-per-connection TCP front-end
 //!   that owns a [`crate::Supervisor`] and exposes submit-batch / tick /
 //!   stats / snapshot / finish, with a multi-client tick barrier and a
@@ -27,4 +26,4 @@ pub mod wire;
 
 pub use server::NetServer;
 pub use sink::{reconnect_schedule, NetCounters, NetSink, SinkConfig};
-pub use wire::{Request, Response, FLAG_PACKBITS, MAX_FRAME_BYTES, PROTO_VERSION};
+pub use wire::{Request, Response, MAX_FRAME_BYTES, PROTO_VERSION};

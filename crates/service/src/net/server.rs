@@ -228,9 +228,6 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) -> ServiceResult<()>
             return Ok(());
         }
         let req: Request = msgs.recv()?;
-        // Answer in the codec the request arrived in: binary and JSON
-        // clients coexist per-frame with no negotiation.
-        msgs.set_codec(msgs.last_recv_codec());
         let resp = handle_request(&shared, &mut client, req);
         msgs.send(&resp, false)?;
         if shared.done.load(Ordering::SeqCst) {
@@ -246,11 +243,9 @@ fn err(e: impl std::fmt::Display) -> Response {
 fn handle_request(shared: &Shared, client: &mut Option<u64>, req: Request) -> Response {
     match req {
         Request::Hello { proto, client: id } => {
-            if !(super::wire::MIN_PROTO_VERSION..=PROTO_VERSION).contains(&proto) {
+            if proto != PROTO_VERSION {
                 return err(format!(
-                    "protocol mismatch: client {proto}, server accepts \
-                     {}..={PROTO_VERSION}",
-                    super::wire::MIN_PROTO_VERSION
+                    "protocol mismatch: client {proto}, server accepts {PROTO_VERSION}"
                 ));
             }
             *client = Some(id);

@@ -6,7 +6,8 @@
 //! the wire: everything submitted between two `tick()` calls rides one
 //! `SubmitBatch` frame, sent back-to-back with the `Tick` frame in a
 //! single socket write — so one client epoch is one socket batch is one
-//! WAL group commit on the server.
+//! WAL group commit on the server. Every frame is the WAL's own binary
+//! frame ([`super::wire`]); there is no codec or compression to configure.
 //!
 //! ## Pipelining and the ack window
 //!
@@ -25,7 +26,7 @@
 //! re-submitted batches and replays recorded ticks, so the WAL sees each
 //! epoch exactly once no matter where the connection died.
 
-use super::wire::{MsgStream, Request, Response, PROTO_VERSION};
+use super::wire::{encode_message_into, MsgStream, Request, Response, PROTO_VERSION};
 use crate::error::{ServiceError, ServiceResult};
 use crate::storage::frame::Codec;
 use crate::shard::{ShardSnapshot, TenantId};
@@ -45,12 +46,6 @@ pub struct SinkConfig {
     pub retry: RetryPolicy,
     /// Seed for the jittered backoff schedule: same seed, same schedule.
     pub seed: u64,
-    /// PackBits-compress outgoing frames (when it shrinks them).
-    pub compress: bool,
-    /// Body codec for outgoing messages (`Binary` default; `Json` is the
-    /// conformance oracle). The server answers in whatever codec each
-    /// request used, so mixed-codec clients coexist on one listener.
-    pub codec: Codec,
     /// Barrier width stamped on every `Tick` (concurrent driving clients).
     pub parties: u32,
     /// Epochs allowed in flight before `tick()` drains an ack.
@@ -62,8 +57,6 @@ impl Default for SinkConfig {
         SinkConfig {
             retry: RetryPolicy::default(),
             seed: 0,
-            compress: false,
-            codec: Codec::default(),
             parties: 1,
             max_inflight: 8,
         }
@@ -85,10 +78,9 @@ pub struct NetCounters {
     pub jobs_submitted: u64,
     /// Epochs acknowledged durable + applied.
     pub epochs_acked: u64,
-    /// Uncompressed serialized body bytes sent (framing and PackBits
-    /// excluded) — what the codec choice actually puts on the wire.
+    /// Serialized body bytes sent (framing excluded).
     pub body_bytes_sent: u64,
-    /// Uncompressed body bytes received.
+    /// Body bytes received (framing excluded).
     pub body_bytes_received: u64,
 }
 
@@ -134,8 +126,6 @@ pub struct NetSink {
     /// Ack round-trip latencies (send of the epoch's frames → its ack).
     ack_latency: LatencyHistogramNs,
     counters: NetCounters,
-    /// Reusable body-encode scratch for `tick()`'s frame building.
-    scratch_body: Vec<u8>,
     /// Body bytes encoded by `tick()` (its frames bypass `MsgStream::send`,
     /// so the stream's own counter never sees them).
     tick_body_bytes: u64,
@@ -160,7 +150,6 @@ impl NetSink {
             last_seqs: Vec::new(),
             ack_latency: LatencyHistogramNs::new(),
             counters: NetCounters::default(),
-            scratch_body: Vec::new(),
             tick_body_bytes: 0,
         };
         let resp: Response = sink.msgs.recv()?;
@@ -219,25 +208,16 @@ impl NetSink {
         let jobs = std::mem::take(&mut self.pending_jobs);
         let expects_queued = !entries.is_empty();
         let mut frames = Vec::new();
-        let mut scratch = std::mem::take(&mut self.scratch_body);
+        let encode = |req: &Request, frames: &mut Vec<u8>| {
+            encode_message_into(req, Codec::Binary, false, &mut Vec::new(), frames)
+        };
         if expects_queued {
-            self.tick_body_bytes += super::wire::encode_message_into(
-                &Request::SubmitBatch { epoch, entries },
-                self.config.codec,
-                self.config.compress,
-                &mut scratch,
-                &mut frames,
-            )? as u64;
+            let batch = Request::SubmitBatch { epoch, entries };
+            self.tick_body_bytes += encode(&batch, &mut frames)? as u64;
             self.counters.frames_sent += 1;
         }
-        self.tick_body_bytes += super::wire::encode_message_into(
-            &Request::Tick { epoch, parties: self.config.parties },
-            self.config.codec,
-            self.config.compress,
-            &mut scratch,
-            &mut frames,
-        )? as u64;
-        self.scratch_body = scratch;
+        let tick = Request::Tick { epoch, parties: self.config.parties };
+        self.tick_body_bytes += encode(&tick, &mut frames)? as u64;
         self.counters.frames_sent += 1;
         self.counters.jobs_submitted += jobs;
         let inflight = InFlight {
@@ -314,7 +294,7 @@ impl NetSink {
         let mut last_err: Option<ServiceError> = None;
         for _ in 0..self.config.retry.attempts.max(1) {
             let attempt = (|| -> ServiceResult<Response> {
-                self.msgs.send(req, self.config.compress)?;
+                self.msgs.send(req, false)?;
                 self.counters.frames_sent += 1;
                 self.msgs.recv()
             })();
@@ -450,7 +430,6 @@ fn dial(addr: &str, client_id: u64, config: &SinkConfig) -> ServiceResult<MsgStr
                     .set_write_timeout(Some(config.retry.op_timeout.max(std::time::Duration::from_millis(1))))
                     .map_err(|e| ServiceError::Net(format!("set_write_timeout: {e}")))?;
                 let mut msgs = MsgStream::new(stream)?;
-                msgs.set_codec(config.codec);
                 msgs.send(
                     &Request::Hello { proto: PROTO_VERSION, client: client_id },
                     false,

@@ -2,27 +2,12 @@
 //! messages over TCP.
 //!
 //! Every message on the socket is one [`crate::storage::frame`] frame —
-//! `[len: u32 LE][crc: u32 LE][payload]` — exactly the encoding the WAL
-//! uses on disk, so the same torn-vs-corrupt discipline applies on the
-//! wire: a short read is *torn* (keep reading), a checksum mismatch is
-//! *corrupt* (drop the connection). The frame payload is one flags byte
-//! followed by the message body:
-//!
-//! ```text
-//! +--------+------------------------------------------+
-//! | flags  | body: Request/Response document          |
-//! | u8     | (PackBits-compressed when flag bit 0 set,|
-//! |        |  rrs-codec binary when flag bit 1 set,   |
-//! |        |  serde_json otherwise)                   |
-//! +--------+------------------------------------------+
-//! ```
-//!
-//! Both the codec and the compression are per-message and self-describing:
-//! [`FLAG_BINARY`] declares the body format (so a JSON client and a binary
-//! client can share a server — it answers each request in the codec the
-//! request arrived in), and the encoder only sets [`FLAG_PACKBITS`] when
-//! the compressed body is actually smaller, so incompressible messages
-//! never pay an expansion penalty and the decoder needs no negotiation.
+//! `[len: u32 LE][crc: u32 LE][0xB1][rrs-codec body]` — written and read by
+//! the same functions the WAL uses on disk, so the same torn-vs-corrupt
+//! discipline applies on the wire: a short read is *torn* (keep reading),
+//! a checksum mismatch or an undecodable payload is *corrupt* (drop the
+//! connection). There is one format and nothing to negotiate; `Hello`
+//! carries [`PROTO_VERSION`] and a server refuses any other version.
 //!
 //! Requests and responses pair one-to-one in order on each connection,
 //! which is what lets the client pipeline submit-batches and ticks without
@@ -38,23 +23,13 @@ use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 
-/// Wire protocol version, exchanged in `Hello`. Version 2 added
-/// [`FLAG_BINARY`]; servers accept [`MIN_PROTO_VERSION`] and up, so a
-/// JSON-only version-1 client still connects.
-pub const PROTO_VERSION: u32 = 2;
+/// Wire protocol version, exchanged in `Hello`; servers accept exactly this
+/// one. Version 3 made every payload start with [`frame::BINARY_TAG`], the
+/// tag the WAL's frames carry, where version 2 had a flags byte.
+pub const PROTO_VERSION: u32 = 3;
 
-/// Oldest protocol version servers still accept.
-pub const MIN_PROTO_VERSION: u32 = 1;
-
-/// Flags-byte bit: the body is PackBits-compressed.
-pub const FLAG_PACKBITS: u8 = 0b0000_0001;
-
-/// Flags-byte bit: the body is an `rrs-codec` binary document (clear ⇒
-/// serde_json). Decompression happens first when both bits are set.
-pub const FLAG_BINARY: u8 = 0b0000_0010;
-
-/// Upper bound on a single frame (and on a decompressed body): a corrupted
-/// length header must not convince a reader to buffer gigabytes.
+/// Upper bound on a single frame: a corrupted length header must not
+/// convince a reader to buffer gigabytes.
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
 
 /// Client → server messages.
@@ -155,187 +130,34 @@ pub enum Response {
     },
 }
 
-/// Serializes one message in `codec` format and appends the complete frame
-/// to `out`. `body` is caller-owned scratch (cleared here, allocation
-/// reused across calls — the per-frame `to_vec` this replaces was the
-/// encode path's hottest allocation). With `compress`, the body is
-/// PackBits-compressed when that actually shrinks it. Returns the
-/// *uncompressed* body length — the bytes-on-wire-before-compression figure
-/// [`MsgStream`] reports.
+/// Serializes one message and appends its frame to `out` with
+/// [`frame::encode_value_into`] (so [`frame::encode_value_with`] builds a
+/// standalone message frame). Returns the body length: the encoded message
+/// less framing and tag, which [`MsgStream`] counts. `body` is unused, as
+/// the message is encoded straight into `out`; it stays for callers that
+/// pass a scratch buffer. There is no compression: `compress: true` is an
+/// error.
 pub fn encode_message_into<T: Serialize>(
     value: &T,
     codec: Codec,
     compress: bool,
-    body: &mut Vec<u8>,
+    _body: &mut Vec<u8>,
     out: &mut Vec<u8>,
 ) -> ServiceResult<usize> {
-    body.clear();
-    let mut flags = 0u8;
-    match codec {
-        Codec::Binary => {
-            flags |= FLAG_BINARY;
-            rrs_codec::encode_into(value, body);
-        }
-        Codec::Json => {
-            serde_json::to_vec_into(value, body)
-                .map_err(|e| ServiceError::Net(format!("encode message: {e}")))?;
-        }
+    if compress {
+        return Err(ServiceError::Net("wire compression is not supported".into()));
     }
     let base = out.len();
-    out.extend_from_slice(&[0u8; frame::FRAME_HEADER]);
-    let packed = if compress { Some(packbits_compress(body)) } else { None };
-    match packed {
-        Some(packed) if packed.len() < body.len() => {
-            out.push(flags | FLAG_PACKBITS);
-            out.extend_from_slice(&packed);
-        }
-        _ => {
-            out.push(flags);
-            out.extend_from_slice(body);
-        }
-    }
-    let payload_len = out.len() - base - frame::FRAME_HEADER;
-    let crc = frame::crc32(&out[base + frame::FRAME_HEADER..]);
-    out[base..base + 4].copy_from_slice(&(payload_len as u32).to_le_bytes());
-    out[base + 4..base + 8].copy_from_slice(&crc.to_le_bytes());
-    Ok(body.len())
-}
-
-/// Encodes one message into a ready-to-send frame in `codec` format.
-/// Convenience over [`encode_message_into`] for cold paths.
-pub fn encode_message_with<T: Serialize>(
-    value: &T,
-    codec: Codec,
-    compress: bool,
-) -> ServiceResult<Vec<u8>> {
-    let mut out = Vec::new();
-    let mut body = Vec::new();
-    encode_message_into(value, codec, compress, &mut body, &mut out)?;
-    Ok(out)
-}
-
-/// Encodes one message as a JSON frame (the version-1 format; binary
-/// callers use [`encode_message_with`] / [`encode_message_into`]).
-pub fn encode_message<T: Serialize>(value: &T, compress: bool) -> ServiceResult<Vec<u8>> {
-    encode_message_with(value, Codec::Json, compress)
-}
-
-/// One decoded wire message plus what the frame said about itself.
-#[derive(Debug)]
-pub struct Decoded<T> {
-    /// The message.
-    pub value: T,
-    /// Total frame bytes consumed from the buffer.
-    pub consumed: usize,
-    /// Body format the sender used (a server answers in this codec).
-    pub codec: Codec,
-    /// Uncompressed body length in bytes.
-    pub body_len: usize,
-}
-
-/// Decodes the message framed at `buf[0]` with its frame metadata. Unknown
-/// flag bits, a failed decompression, or a body that does not deserialize
-/// all read as [`FrameError::Corrupt`]; a buffer that ends mid-frame is
-/// [`FrameError::Torn`] (read more and retry).
-pub fn decode_message_full<T: Deserialize>(buf: &[u8]) -> Result<Decoded<T>, FrameError> {
-    let (payload, consumed) = frame::decode_frame(buf)?;
-    let (&flags, body) = payload.split_first().ok_or(FrameError::Corrupt)?;
-    if flags & !(FLAG_PACKBITS | FLAG_BINARY) != 0 {
-        return Err(FrameError::Corrupt);
-    }
-    let codec = if flags & FLAG_BINARY != 0 { Codec::Binary } else { Codec::Json };
-    let unpacked;
-    let body = if flags & FLAG_PACKBITS != 0 {
-        unpacked = packbits_decompress(body)?;
-        unpacked.as_slice()
-    } else {
-        body
-    };
-    let value = match codec {
-        Codec::Binary => rrs_codec::from_slice(body).map_err(|_| FrameError::Corrupt)?,
-        Codec::Json => serde_json::from_slice(body).map_err(|_| FrameError::Corrupt)?,
-    };
-    Ok(Decoded { value, consumed, codec, body_len: body.len() })
+    frame::encode_value_into(value, codec, out)?;
+    Ok(out.len() - base - frame::FRAME_HEADER - 1)
 }
 
 /// Decodes the message framed at `buf[0]`, returning it and the bytes
-/// consumed. See [`decode_message_full`] for the error contract.
+/// consumed. A checksum mismatch, a payload without the tag, or a body
+/// that does not deserialize all read as [`FrameError::Corrupt`]; a buffer
+/// that ends mid-frame is [`FrameError::Torn`] (read more and retry).
 pub fn decode_message<T: Deserialize>(buf: &[u8]) -> Result<(T, usize), FrameError> {
-    decode_message_full(buf).map(|d| (d.value, d.consumed))
-}
-
-/// PackBits run-length compression (the TIFF/Apple scheme): control byte
-/// `n ≤ 127` copies `n + 1` literals, `n ≥ 129` repeats the next byte
-/// `257 - n` times, `128` is a no-op. Worst-case expansion is 1/128; runs
-/// of three or more bytes shrink.
-pub fn packbits_compress(input: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(input.len() + input.len() / 128 + 1);
-    let mut i = 0;
-    while i < input.len() {
-        let b = input[i];
-        let mut run = 1;
-        while i + run < input.len() && input[i + run] == b && run < 128 {
-            run += 1;
-        }
-        if run >= 3 {
-            out.push((257 - run) as u8);
-            out.push(b);
-            i += run;
-            continue;
-        }
-        // Literal stretch: up to 128 bytes, stopping where a ≥3 run starts.
-        let start = i;
-        let mut j = i;
-        while j < input.len() && j - start < 128 {
-            let b = input[j];
-            let mut r = 1;
-            while j + r < input.len() && input[j + r] == b && r < 3 {
-                r += 1;
-            }
-            if r >= 3 {
-                break;
-            }
-            j += 1;
-        }
-        out.push((j - start - 1) as u8);
-        out.extend_from_slice(&input[start..j]);
-        i = j;
-    }
-    out
-}
-
-/// Inverse of [`packbits_compress`]. A control byte promising bytes the
-/// input does not hold, or an output exceeding [`MAX_FRAME_BYTES`], is
-/// [`FrameError::Corrupt`].
-pub fn packbits_decompress(input: &[u8]) -> Result<Vec<u8>, FrameError> {
-    let mut out = Vec::with_capacity(input.len().saturating_mul(2));
-    let mut i = 0;
-    while i < input.len() {
-        let c = input[i];
-        i += 1;
-        if c == 128 {
-            continue;
-        }
-        if c < 128 {
-            let n = c as usize + 1;
-            if i + n > input.len() {
-                return Err(FrameError::Corrupt);
-            }
-            out.extend_from_slice(&input[i..i + n]);
-            i += n;
-        } else {
-            let n = 257 - c as usize;
-            let Some(&b) = input.get(i) else {
-                return Err(FrameError::Corrupt);
-            };
-            i += 1;
-            out.resize(out.len() + n, b);
-        }
-        if out.len() > MAX_FRAME_BYTES {
-            return Err(FrameError::Corrupt);
-        }
-    }
-    Ok(out)
+    frame::decode_value(buf)
 }
 
 /// A framed-message view over one `TcpStream`: buffers partial reads until
@@ -346,22 +168,15 @@ pub struct MsgStream {
     stream: TcpStream,
     buf: Vec<u8>,
     pos: usize,
-    /// Codec for outgoing messages.
-    codec: Codec,
-    /// Codec of the most recently received message.
-    last_recv_codec: Codec,
-    /// Reusable body-encode scratch (see [`encode_message_into`]).
-    scratch_body: Vec<u8>,
     /// Reusable frame-build scratch for [`MsgStream::send`].
     scratch_frame: Vec<u8>,
     /// Bytes written to the socket.
     pub bytes_sent: u64,
     /// Bytes read from the socket.
     pub bytes_received: u64,
-    /// Uncompressed body bytes serialized into sent messages (framing and
-    /// compression excluded) — the pre-compression bytes-on-wire figure.
+    /// Body bytes serialized into sent messages (framing excluded).
     pub body_bytes_sent: u64,
-    /// Uncompressed body bytes carried by received messages.
+    /// Body bytes carried by received messages.
     pub body_bytes_received: u64,
 }
 
@@ -376,9 +191,6 @@ impl MsgStream {
             stream,
             buf: Vec::new(),
             pos: 0,
-            codec: Codec::default(),
-            last_recv_codec: Codec::default(),
-            scratch_body: Vec::new(),
             scratch_frame: Vec::new(),
             bytes_sent: 0,
             bytes_received: 0,
@@ -392,22 +204,6 @@ impl MsgStream {
         &self.stream
     }
 
-    /// Sets the codec for outgoing messages.
-    pub fn set_codec(&mut self, codec: Codec) {
-        self.codec = codec;
-    }
-
-    /// The codec used for outgoing messages.
-    pub fn codec(&self) -> Codec {
-        self.codec
-    }
-
-    /// The codec of the most recently received message. Servers answer in
-    /// this format so each client converses in the codec it chose.
-    pub fn last_recv_codec(&self) -> Codec {
-        self.last_recv_codec
-    }
-
     /// Writes pre-encoded frame bytes (possibly several concatenated
     /// frames: one write per epoch, not per message).
     pub fn send_bytes(&mut self, frames: &[u8]) -> ServiceResult<()> {
@@ -418,22 +214,17 @@ impl MsgStream {
         Ok(())
     }
 
-    /// Encodes and writes one message in the stream's codec, reusing the
-    /// stream-owned scratch buffers (no per-message allocation at steady
-    /// state).
+    /// Encodes and writes one message, reusing the stream-owned frame
+    /// buffer (no per-message allocation at steady state). `compress:
+    /// true` is an error, as in [`encode_message_into`].
     pub fn send<T: Serialize>(&mut self, value: &T, compress: bool) -> ServiceResult<()> {
         let mut frame = std::mem::take(&mut self.scratch_frame);
-        let mut body = std::mem::take(&mut self.scratch_body);
         frame.clear();
-        let encoded = encode_message_into(value, self.codec, compress, &mut body, &mut frame);
-        self.scratch_body = body;
-        let res = match encoded {
-            Ok(body_len) => {
+        let res = encode_message_into(value, Codec::Binary, compress, &mut Vec::new(), &mut frame)
+            .and_then(|body_len| {
                 self.body_bytes_sent += body_len as u64;
                 self.send_bytes(&frame)
-            }
-            Err(e) => Err(e),
-        };
+            });
         self.scratch_frame = frame;
         res
     }
@@ -443,11 +234,10 @@ impl MsgStream {
     /// error: this protocol has no unsolicited hangups.
     pub fn recv<T: Deserialize>(&mut self) -> ServiceResult<T> {
         loop {
-            match decode_message_full::<T>(&self.buf[self.pos..]) {
-                Ok(decoded) => {
-                    self.pos += decoded.consumed;
-                    self.last_recv_codec = decoded.codec;
-                    self.body_bytes_received += decoded.body_len as u64;
+            match decode_message::<T>(&self.buf[self.pos..]) {
+                Ok((value, consumed)) => {
+                    self.pos += consumed;
+                    self.body_bytes_received += (consumed - frame::FRAME_HEADER - 1) as u64;
                     if self.pos == self.buf.len() {
                         self.buf.clear();
                         self.pos = 0;
@@ -455,7 +245,7 @@ impl MsgStream {
                         self.buf.drain(..self.pos);
                         self.pos = 0;
                     }
-                    return Ok(decoded.value);
+                    return Ok(value);
                 }
                 Err(FrameError::Corrupt) => {
                     return Err(ServiceError::Net("corrupt frame on socket".into()));

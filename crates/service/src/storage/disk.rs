@@ -14,8 +14,9 @@
 //!   shard-001/ …
 //! ```
 //!
-//! Segments and checkpoints both hold [`super::frame`]-encoded records, so
-//! every byte on disk is covered by a CRC. Adopting a checkpoint closes the
+//! Segments and checkpoints both hold [`super::frame`]-encoded records
+//! (`[len][crc][0xB1][rrs-codec body]`, the only format), so every byte on
+//! disk is covered by a CRC. Adopting a checkpoint closes the
 //! open segment, so segments start at checkpoint offsets. A segment also
 //! closes once it reaches `max_segment_bytes` (the only cut when
 //! checkpoints are off), and the segment a cold start recovers last stays
@@ -40,19 +41,27 @@
 //! ## Recovery (open)
 //!
 //! Opening a shard directory first reads every checkpoint. One written in
-//! the retired log-bearing format (each tenant's per-round arrival log,
-//! restored by replay) refuses the cold start with
-//! [`ServiceError::UnsupportedFormat`] before any file is touched: such a
-//! directory is neither migrated nor quarantined. Otherwise the scan keeps
-//! the valid checkpoints (quarantining corrupt ones) and reads the
-//! segments in offset order into the mirror, checking each frame's CRC
+//! a retired format — JSON, or the log-bearing shape (each tenant's
+//! per-round arrival log, restored by replay) — refuses the cold start
+//! with [`ServiceError::UnsupportedFormat`] before any file is touched:
+//! such a directory is neither migrated nor quarantined. Otherwise the
+//! scan keeps the valid checkpoints (quarantining corrupt ones) and reads
+//! the segments in offset order into the mirror, checking each frame's CRC
 //! without decoding it. The first torn or corrupt frame ends the log: the
 //! torn tail is truncated away and later segments (unreachable once the
-//! offset chain breaks) are quarantined. Then only the frames past the
-//! newest checkpoint are decoded, each once, and those records are what
-//! the cold start replays; a CRC-valid frame among them that does not
-//! decode ends the log the same way. Frames below the newest checkpoint
-//! stay undecoded. A fallback to an older checkpoint decodes them through
+//! offset chain breaks) are quarantined. One segment is the exception:
+//! when the chain breaks below the newest checkpoint and a segment starts
+//! exactly at that checkpoint's offset, the walk restarts there, since the
+//! checkpoint covers every record lost. The older checkpoint and the
+//! segments below the newest one are then dropped, as they are when no
+//! such segment exists and the checkpoint alone is the recovered state.
+//! Then only the frames past the newest checkpoint are decoded, each once,
+//! and those records are what the cold start replays. A CRC-valid frame
+//! among them that does not decode is checked before anything is cut: a
+//! JSON frame or a per-submit `Submit` record refuses the cold start the
+//! same way, leaving the directory byte-identical; anything else ends the
+//! log as a corrupt frame does. Frames below the newest checkpoint stay
+//! undecoded. A fallback to an older checkpoint decodes them through
 //! [`ShardStore::try_records_from`], which fails on a frame that does not
 //! decode instead of returning a shorter suffix. Each file is read once,
 //! with a plain `fs::read`.
@@ -134,12 +143,6 @@ pub struct DiskConfig {
     /// `commit_wait` pipelining). Acks still publish only after the epoch's
     /// fsync lands; this only overlaps the wait with worker round-trips.
     pub pipeline_fsync: bool,
-    /// Payload format for newly written WAL records and checkpoints.
-    /// Reading always sniffs the format per frame, so directories written
-    /// under one codec recover under the other; this knob only picks what
-    /// new frames look like. `Binary` is the default; `Json` is the slower
-    /// conformance oracle (`--codec json`).
-    pub codec: frame::Codec,
 }
 
 impl DiskConfig {
@@ -153,7 +156,6 @@ impl DiskConfig {
             io_retries: 4,
             io_backoff: Duration::from_micros(500),
             pipeline_fsync: true,
-            codec: frame::Codec::default(),
         }
     }
 
@@ -431,6 +433,10 @@ fn io_err(what: &str, path: &Path, e: std::io::Error) -> ServiceError {
     ServiceError::Storage(format!("{what} {}: {e}", path.display()))
 }
 
+fn unsupported(path: &Path, format: &'static str) -> ServiceError {
+    ServiceError::UnsupportedFormat { path: path.display().to_string(), format }
+}
+
 /// A classified IO failure: transient ones are worth retrying, permanent
 /// ones degrade the store immediately.
 #[derive(Debug, Clone)]
@@ -456,9 +462,12 @@ fn parse_name(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
     name.strip_prefix(prefix)?.strip_suffix(suffix)?.parse().ok()
 }
 
-/// The retired checkpoint format, named in [`ServiceError::UnsupportedFormat`].
+/// Retired formats, named in [`ServiceError::UnsupportedFormat`].
 const LOG_BEARING_CHECKPOINT: &str =
     "log-bearing checkpoint (every tenant's per-round arrival log, restored by replay)";
+const JSON_FRAME: &str = "JSON frame (a text payload without the binary tag)";
+const PER_SUBMIT_RECORD: &str =
+    "per-submit WAL record (one `Submit` record per submit, before group commit)";
 
 /// Whether a decoded checkpoint tree has the retired shape: some tenant
 /// snapshot (`snapshot.tenants[i] = [id, tenant]`) with a `log` field.
@@ -470,6 +479,22 @@ fn is_log_bearing(tree: &serde::Value) -> bool {
             tenant.is_some_and(|t| t.get_field("log").is_some())
         })
     })
+}
+
+/// Names the retired format of a CRC-valid frame payload that did not
+/// decode, or `None` when it is plain corruption: a JSON document (any
+/// first byte but the binary tag), a per-submit record (a tree whose one
+/// key is `Submit`) or a log-bearing checkpoint.
+fn retired_format(payload: &[u8]) -> Option<&'static str> {
+    if payload.first()? != &frame::BINARY_TAG {
+        return Some(JSON_FRAME);
+    }
+    let tree = frame::decode_payload::<serde::Value>(payload).ok()?;
+    if is_log_bearing(&tree) {
+        return Some(LOG_BEARING_CHECKPOINT);
+    }
+    let per_submit = tree.as_object().is_some_and(|f| f.len() == 1 && f[0].0 == "Submit");
+    per_submit.then_some(PER_SUBMIT_RECORD)
 }
 
 impl DiskStore {
@@ -571,8 +596,16 @@ impl DiskStore {
         // valid prefix — the tail file is truncated, later files
         // quarantined.
         self.base = seg_files.first().map(|&(off, _)| off).unwrap_or(0);
+        let newest = checkpoints.last().map(|c| c.wal_offset);
         let mut broken = false;
         for (off, path) in &seg_files {
+            if Some(*off) == newest && self.end() < *off {
+                // The chain broke below the newest checkpoint, which covers
+                // every record lost, and this segment starts exactly at it:
+                // restart the walk here instead of losing its suffix too.
+                self.discard_below_newest(&mut checkpoints);
+                broken = false;
+            }
             if broken || *off != self.end() {
                 self.quarantine_file(path, "unreachable after log break");
                 broken = true;
@@ -613,25 +646,11 @@ impl DiskStore {
             self.segments.push(Segment { start: *off, written: bytes.len(), bytes, frames, open });
         }
 
-        if let Some(newest) = checkpoints.last().map(|c| c.wal_offset) {
-            if newest > self.end() {
-                // The log lost records the checkpoint already covers (e.g.
-                // a corrupt frame below the checkpoint offset). The
-                // checkpoint alone is the recovered state; the unreadable
-                // log is discarded wholesale — and with it every older
-                // checkpoint, whose replay suffix no longer exists.
-                for seg in std::mem::take(&mut self.segments) {
-                    self.remove_file(&self.seg_path(seg.start));
-                }
-                let kept = checkpoints.split_off(checkpoints.len() - 1);
-                for stale in &checkpoints {
-                    if stale.wal_offset != newest {
-                        self.remove_file(&self.ck_path(stale.wal_offset));
-                    }
-                }
-                checkpoints = kept;
-                self.base = newest;
-            }
+        if newest.is_some_and(|newest| newest > self.end()) {
+            // The log lost records the checkpoint already covers (e.g. a
+            // corrupt frame below the checkpoint offset) and no segment
+            // starts at it. The checkpoint alone is the recovered state.
+            self.discard_below_newest(&mut checkpoints);
         }
         if checkpoints.is_empty() && self.base == 0 {
             // Full history on disk (or an empty directory): genesis is a
@@ -645,6 +664,7 @@ impl DiskStore {
         if let Some(from) = checkpoints.last().map(|c| c.wal_offset.max(self.base)) {
             let mut suffix = Vec::new();
             if let Err(at) = self.decode_into(from, &mut suffix) {
+                self.refuse_retired(at)?;
                 self.cut_log(at)?;
             }
             self.recovered = Some((from, suffix));
@@ -658,6 +678,37 @@ impl DiskStore {
             self.collect_segments(oldest);
         }
         Ok(())
+    }
+
+    /// Keeps only the newest checkpoint and drops the log below it: every
+    /// segment in the mirror is deleted, and with the log every older
+    /// checkpoint, whose replay suffix no longer exists.
+    fn discard_below_newest(&mut self, checkpoints: &mut Vec<Checkpoint>) {
+        for seg in std::mem::take(&mut self.segments) {
+            self.remove_file(&self.seg_path(seg.start));
+        }
+        let Some(newest) = checkpoints.pop() else { return };
+        for stale in checkpoints.drain(..) {
+            if stale.wal_offset != newest.wal_offset {
+                self.remove_file(&self.ck_path(stale.wal_offset));
+            }
+        }
+        self.base = newest.wal_offset;
+        checkpoints.push(newest);
+    }
+
+    /// Refuses the cold start when record `at`, a CRC-valid frame that does
+    /// not decode, is in a retired format rather than corrupt. Runs before
+    /// [`DiskStore::cut_log`], so nothing of such a directory is truncated.
+    fn refuse_retired(&self, at: u64) -> ServiceResult<()> {
+        let idx = self.segments.partition_point(|s| s.end() <= at);
+        let Some(seg) = self.segments.get(idx) else {
+            return Ok(());
+        };
+        match retired_format(seg.payload((at - seg.start) as usize)) {
+            Some(format) => Err(unsupported(&self.seg_path(seg.start), format)),
+            None => Ok(()),
+        }
     }
 
     /// Ends the log before record `at`, a CRC-valid frame that does not
@@ -743,18 +794,16 @@ impl DiskStore {
         fs::read(path).map_err(|e| io_err("read", path, e))
     }
 
-    /// Reads one checkpoint file. A file whose frame is intact but whose
-    /// tenants carry the per-round arrival log of the retired format is
+    /// Reads one checkpoint file. A file whose frame is intact but holds a
+    /// retired format (JSON, or tenants carrying per-round arrival logs) is
     /// [`ServiceError::UnsupportedFormat`], not corruption.
     fn read_checkpoint(&self, path: &Path) -> ServiceResult<Checkpoint> {
         let bytes = self.read_file(path)?;
         let (ck, consumed) = frame::decode_value::<Checkpoint>(&bytes).map_err(|e| {
-            match frame::decode_value::<serde::Value>(&bytes) {
-                Ok((tree, _)) if is_log_bearing(&tree) => ServiceError::UnsupportedFormat {
-                    path: path.display().to_string(),
-                    format: LOG_BEARING_CHECKPOINT,
-                },
-                _ => ServiceError::Storage(format!("{}: {e:?}", path.display())),
+            let payload = frame::decode_frame(&bytes).map(|(payload, _)| payload);
+            match payload.ok().and_then(retired_format) {
+                Some(format) => unsupported(path, format),
+                None => ServiceError::Storage(format!("{}: {e:?}", path.display())),
             }
         })?;
         if consumed != bytes.len() {
@@ -1081,10 +1130,9 @@ impl ShardStore for DiskStore {
         // is doing: a commit writes it from there, a degraded store's heal
         // backfills it from there (wedged stores never write it), and
         // recovery decodes it from there.
-        let codec = self.config.codec;
         let seg = self.open_segment();
         let at = seg.bytes.len();
-        if let Err(e) = frame::encode_value_into(record, codec, &mut seg.bytes) {
+        if let Err(e) = frame::encode_value_into(record, frame::Codec::Binary, &mut seg.bytes) {
             seg.bytes.truncate(at);
             return Err(e);
         }
@@ -1227,7 +1275,7 @@ impl ShardStore for DiskStore {
         self.commit()?;
         let offset = checkpoint.wal_offset;
         if !self.wedged && !self.degraded {
-            let bytes = frame::encode_value_with(&checkpoint, self.config.codec)?;
+            let bytes = frame::encode_value_with(&checkpoint, frame::Codec::Binary)?;
             self.counters
                 .payload_bytes
                 .fetch_add((bytes.len() - frame::FRAME_HEADER) as u64, Ordering::Relaxed);
@@ -1294,7 +1342,7 @@ mod tests {
     }
 
     fn submit(tenant: u64, n: u64) -> WalRecord {
-        WalRecord::Submit { tenant, arrivals: vec![(ColorId(0), n)] }
+        WalRecord::SubmitBatch { entries: vec![(tenant, vec![(ColorId(0), n)])] }
     }
 
     fn open_store(backend: &mut DiskBackend, shard: usize) -> Box<dyn ShardStore> {
@@ -1420,8 +1468,8 @@ mod tests {
         let shard_dir = root.join("shard-000");
         for off in [18u64, 20] {
             let ck = Checkpoint { wal_offset: off, ..Checkpoint::genesis(0) };
-            fs::write(shard_dir.join(format!("ck-{off}.ck")), frame::encode_value(&ck).unwrap())
-                .unwrap();
+            let bytes = frame::encode_value_with(&ck, frame::Codec::Binary).unwrap();
+            fs::write(shard_dir.join(format!("ck-{off}.ck")), bytes).unwrap();
         }
         let seg_starts = |dir: &Path| {
             let mut v: Vec<u64> = fs::read_dir(dir)

@@ -1,43 +1,39 @@
-//! CRC32-framed record encoding for on-disk WAL segments and checkpoints.
+//! CRC32-framed record encoding: the one frame format of WAL segments,
+//! checkpoints and the wire.
 //!
-//! Every durable record is one *frame*:
+//! Every durable record and every wire message is one *frame*:
 //!
 //! ```text
-//! +----------------+----------------+====================+
-//! | len: u32 LE    | crc: u32 LE    | payload (len bytes)|
-//! +----------------+----------------+====================+
+//! +----------------+----------------+------+=========================+
+//! | len: u32 LE    | crc: u32 LE    | 0xB1 | rrs-codec body          |
+//! +----------------+----------------+------+=========================+
+//!                                    \____ payload (len bytes) ____/
 //! ```
 //!
 //! `crc` is the CRC-32 (IEEE 802.3) of the payload alone, so a frame is
-//! self-validating: a reader can tell a **torn** frame (the file ends before
-//! `8 + len` bytes — the classic torn write of a crash mid-append) from a
-//! **corrupt** one (all bytes present but the checksum disagrees — silent
-//! bit rot or an injected fault). Recovery treats both as the end of the
-//! valid log prefix; the distinction only feeds different counters.
+//! self-validating: a reader can tell a **torn** frame (the buffer ends
+//! before `8 + len` bytes — the classic torn write of a crash mid-append,
+//! or a short socket read) from a **corrupt** one (all bytes present but
+//! the checksum disagrees — silent bit rot or an injected fault). Recovery
+//! treats both as the end of the valid log prefix; the distinction only
+//! feeds different counters.
 //!
-//! Payloads carry [`crate::WalRecord`] / [`crate::Checkpoint`] documents in
-//! one of two self-describing formats, sniffed from the first payload byte:
-//!
-//! - **Binary** ([`Codec::Binary`], the default): an `rrs-codec` document
-//!   prefixed with [`BINARY_TAG`] (`0xB1`). The tag can never collide with
-//!   JSON because every JSON document here starts with an ASCII byte
-//!   (`{`, `[`, `"`, a digit, `-`, or a literal keyword), all `< 0x80`.
-//! - **JSON** ([`Codec::Json`]): a bare `serde_json` document, bit-identical
-//!   to what earlier releases wrote. Kept as the conformance oracle
-//!   (`--codec json`) and for reading old segments/checkpoints.
-//!
-//! Decoding never consults configuration — a directory may freely mix
-//! formats (e.g. JSON segments written before an upgrade followed by binary
-//! appends), and recovery replays both bit-identically.
+//! The payload is [`BINARY_TAG`] followed by an `rrs-codec` document. A
+//! CRC-valid payload that does not start with the tag, or whose body does
+//! not decode, is [`FrameError::Corrupt`]. Earlier builds also wrote bare
+//! JSON payloads; those frames pass their CRC and then fail the tag check,
+//! which is how a cold start recognises and refuses a JSON-era directory
+//! (`rrs dump` still renders any binary frame as JSON for people to read).
 
-use crate::error::{ServiceError, ServiceResult};
+use crate::error::ServiceResult;
 use serde::{Deserialize, Serialize};
 
 /// Bytes of frame header before the payload (`len` + `crc`).
 pub const FRAME_HEADER: usize = 8;
 
-/// First payload byte of a binary-codec frame. Deliberately `> 0x7F` so it
-/// cannot be the first byte of any JSON document (always printable ASCII).
+/// First payload byte of every frame. Deliberately `> 0x7F`, so it is never
+/// the first byte of a JSON document (always printable ASCII) or of an
+/// earlier wire protocol's flags byte.
 pub const BINARY_TAG: u8 = 0xB1;
 
 /// 8×256-entry CRC-32 tables for the reflected polynomial `0xEDB88320`,
@@ -70,7 +66,7 @@ fn crc32_tables() -> &'static [[u32; 256]; 8] {
 /// 8-byte gulps with one table lookup per byte but no inter-byte carry
 /// chain, ~4-5× the byte-at-a-time loop on long payloads. Bit-identical to
 /// the classic single-table implementation (unit-tested against it).
-pub fn crc32(bytes: &[u8]) -> u32 {
+fn crc32(bytes: &[u8]) -> u32 {
     let t = crc32_tables();
     let mut crc = 0xFFFF_FFFFu32;
     let mut chunks = bytes.chunks_exact(8);
@@ -91,40 +87,12 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     crc ^ 0xFFFF_FFFF
 }
 
-/// Payload serialization format for framed records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+/// Payload format of a frame. Binary is the only one; the parameter that
+/// takes it stays so callers name the format they write.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Codec {
-    /// Compact `rrs-codec` binary document, tagged with [`BINARY_TAG`].
-    #[default]
+    /// Compact `rrs-codec` document, tagged with [`BINARY_TAG`].
     Binary,
-    /// Plain-text `serde_json` document (untagged; the pre-binary format).
-    /// Slower and larger; kept as the conformance oracle.
-    Json,
-}
-
-impl Codec {
-    /// Parses a CLI/config spelling.
-    pub fn parse(s: &str) -> Option<Codec> {
-        match s {
-            "binary" => Some(Codec::Binary),
-            "json" => Some(Codec::Json),
-            _ => None,
-        }
-    }
-
-    /// The CLI spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            Codec::Binary => "binary",
-            Codec::Json => "json",
-        }
-    }
-}
-
-impl std::fmt::Display for Codec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
 }
 
 /// Why a frame failed to decode.
@@ -164,29 +132,22 @@ pub fn decode_frame(buf: &[u8]) -> Result<(&[u8], usize), FrameError> {
     Ok((payload, total))
 }
 
-/// Serializes `value` in `codec` format and appends the complete frame to
-/// `out` in place — header first, payload encoded directly behind it, then
-/// the `len`/`crc` fields backfilled. No intermediate payload allocation:
-/// `out` doubles as the encode scratch, which is what lets the disk store
-/// stage an entire group commit into one reusable buffer.
+/// Serializes `value` and appends the complete frame to `out` in place —
+/// header first, payload encoded directly behind it, then the `len`/`crc`
+/// fields backfilled. No intermediate payload allocation: `out` doubles as
+/// the encode scratch, which is what lets the disk store stage an entire
+/// group commit into one reusable buffer and the wire batch one epoch's
+/// messages into one socket write.
 pub fn encode_value_into<T: Serialize>(
     value: &T,
     codec: Codec,
     out: &mut Vec<u8>,
 ) -> ServiceResult<()> {
+    let Codec::Binary = codec;
     let base = out.len();
     out.extend_from_slice(&[0u8; FRAME_HEADER]);
-    match codec {
-        Codec::Binary => {
-            out.push(BINARY_TAG);
-            rrs_codec::encode_into(value, out);
-        }
-        Codec::Json => {
-            let s = serde_json::to_string(value)
-                .map_err(|e| ServiceError::Storage(format!("encode record: {e}")))?;
-            out.extend_from_slice(s.as_bytes());
-        }
-    }
+    out.push(BINARY_TAG);
+    rrs_codec::encode_into(value, out);
     let payload_len = out.len() - base - FRAME_HEADER;
     let crc = crc32(&out[base + FRAME_HEADER..]);
     out[base..base + 4].copy_from_slice(&(payload_len as u32).to_le_bytes());
@@ -194,34 +155,26 @@ pub fn encode_value_into<T: Serialize>(
     Ok(())
 }
 
-/// Serializes a value into one framed record in `codec` format.
+/// Serializes a value into one framed record.
 pub fn encode_value_with<T: Serialize>(value: &T, codec: Codec) -> ServiceResult<Vec<u8>> {
     let mut out = Vec::new();
     encode_value_into(value, codec, &mut out)?;
     Ok(out)
 }
 
-/// Serializes a value into one framed JSON record (the legacy format;
-/// binary callers use [`encode_value_into`] / [`encode_value_with`]).
-pub fn encode_value<T: Serialize>(value: &T) -> ServiceResult<Vec<u8>> {
-    encode_value_with(value, Codec::Json)
-}
-
-/// Deserializes one frame *payload* (already CRC-validated), sniffing the
-/// format from its first byte.
+/// Deserializes one frame *payload* (already CRC-validated). A payload
+/// without [`BINARY_TAG`] or whose body does not decode is
+/// [`FrameError::Corrupt`].
 pub fn decode_payload<T: Deserialize>(payload: &[u8]) -> Result<T, FrameError> {
-    match payload.first() {
-        Some(&BINARY_TAG) => {
-            rrs_codec::from_slice(&payload[1..]).map_err(|_| FrameError::Corrupt)
-        }
-        _ => serde_json::from_slice(payload).map_err(|_| FrameError::Corrupt),
+    match payload.split_first() {
+        Some((&BINARY_TAG, body)) => rrs_codec::from_slice(body).map_err(|_| FrameError::Corrupt),
+        _ => Err(FrameError::Corrupt),
     }
 }
 
 /// Decodes the frame at `buf[0]` into a value, returning it with the frame
-/// length consumed. The payload format (binary vs JSON) is sniffed per
-/// frame, so mixed-format logs decode transparently. A payload that passes
-/// the CRC but fails to deserialize is reported as [`FrameError::Corrupt`].
+/// length consumed. A payload that passes the CRC but fails to deserialize
+/// is reported as [`FrameError::Corrupt`].
 pub fn decode_value<T: Deserialize>(buf: &[u8]) -> Result<(T, usize), FrameError> {
     let (payload, consumed) = decode_frame(buf)?;
     let value = decode_payload(payload)?;
@@ -340,12 +293,11 @@ mod tests {
     #[test]
     fn values_scan_stops_at_the_first_bad_frame() {
         let mut buf = Vec::new();
-        let records = vec![WalRecord::Tick, WalRecord::Submit {
-            tenant: 3,
-            arrivals: vec![(rrs_core::ColorId(1), 2)],
+        let records = vec![WalRecord::Tick, WalRecord::SubmitBatch {
+            entries: vec![(3, vec![(rrs_core::ColorId(1), 2)])],
         }];
         for r in &records {
-            buf.extend_from_slice(&encode_value(r).unwrap());
+            encode_value_into(r, Codec::Binary, &mut buf).unwrap();
         }
         let valid_len = buf.len();
         buf.extend_from_slice(&[7, 0, 0, 0]); // half a header: torn tail
@@ -363,7 +315,7 @@ mod tests {
         // CRC-valid, but no `WalRecord` decodes from it.
         encode_frame(&[BINARY_TAG, 0xFF], &mut buf);
         let third = buf.len();
-        encode_value_into(&WalRecord::Tick, Codec::Json, &mut buf).unwrap();
+        encode_value_into(&WalRecord::Tick, Codec::Binary, &mut buf).unwrap();
         let valid_len = buf.len();
         assert_eq!(scan_frames(&buf), (vec![0, second, third], valid_len, None));
         // The decoding scan stops at the undecodable frame ...
@@ -377,47 +329,19 @@ mod tests {
     }
 
     #[test]
-    fn both_codecs_roundtrip_and_json_stays_legacy_compatible() {
-        let record = WalRecord::Submit {
-            tenant: 42,
-            arrivals: vec![(rrs_core::ColorId(7), 3), (rrs_core::ColorId(0), 1)],
+    fn frames_carry_the_tag_and_untagged_payloads_are_corrupt() {
+        let record = WalRecord::SubmitBatch {
+            entries: vec![(42, vec![(rrs_core::ColorId(7), 3), (rrs_core::ColorId(0), 1)])],
         };
-        for codec in [Codec::Binary, Codec::Json] {
-            let buf = encode_value_with(&record, codec).unwrap();
-            let (back, n) = decode_value::<WalRecord>(&buf).unwrap();
-            assert_eq!(back, record);
-            assert_eq!(n, buf.len());
-        }
-        // The JSON frame must be byte-identical to what the legacy
-        // json-only encoder produced (old readers depend on it).
-        let legacy = {
-            let payload = serde_json::to_vec(&record).unwrap();
-            let mut out = Vec::new();
-            encode_frame(&payload, &mut out);
-            out
-        };
-        assert_eq!(encode_value_with(&record, Codec::Json).unwrap(), legacy);
-        // Binary frames are smaller and carry the tag byte.
-        let bin = encode_value_with(&record, Codec::Binary).unwrap();
-        assert_eq!(bin[FRAME_HEADER], BINARY_TAG);
-        assert!(bin.len() < legacy.len(), "{} !< {}", bin.len(), legacy.len());
-    }
-
-    #[test]
-    fn mixed_format_log_scans_transparently() {
-        let records = vec![
-            WalRecord::Tick,
-            WalRecord::Submit { tenant: 1, arrivals: vec![(rrs_core::ColorId(2), 5)] },
-            WalRecord::Tick,
-        ];
-        let mut buf = Vec::new();
-        encode_value_into(&records[0], Codec::Json, &mut buf).unwrap();
-        encode_value_into(&records[1], Codec::Binary, &mut buf).unwrap();
-        encode_value_into(&records[2], Codec::Json, &mut buf).unwrap();
-        let (decoded, prefix, err) = scan_values::<WalRecord>(&buf);
-        assert_eq!(decoded, records);
-        assert_eq!(prefix, buf.len());
-        assert_eq!(err, None);
+        let buf = encode_value_with(&record, Codec::Binary).unwrap();
+        assert_eq!(buf[FRAME_HEADER], BINARY_TAG);
+        assert_eq!(decode_value::<WalRecord>(&buf).unwrap(), (record.clone(), buf.len()));
+        // The same record as a bare JSON payload, as earlier builds wrote
+        // it: the CRC holds, the tag check does not.
+        let mut json = Vec::new();
+        encode_frame(&serde_json::to_vec(&record).unwrap(), &mut json);
+        assert!(decode_frame(&json).is_ok());
+        assert_eq!(decode_value::<WalRecord>(&json).unwrap_err(), FrameError::Corrupt);
     }
 
     #[test]

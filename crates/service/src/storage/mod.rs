@@ -139,7 +139,7 @@ pub struct StorageStats {
     pub bytes_written: u64,
     /// Serialized payload bytes produced for WAL records and checkpoints
     /// (framing excluded) — the bytes-on-disk figure that moves when the
-    /// codec changes, next to `bytes_written` which adds framing and
+    /// encoding changes, next to `bytes_written` which adds framing and
     /// rewrite amplification.
     #[serde(default)]
     pub payload_bytes: u64,

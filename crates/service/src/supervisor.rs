@@ -272,31 +272,8 @@ impl Supervisor {
         let mut events = Vec::new();
         for (shard, faults) in fault_state.into_iter().enumerate() {
             let store = backend.open_shard(shard, Arc::clone(&faults))?;
-            // Newest checkpoint first, older ones as fallback — the same
-            // ladder recover() climbs, but sourced from the (possibly
-            // crash-repaired) store.
-            let mut restored: Option<(BTreeMap<TenantId, Tenant>, u64, u64)> = None;
-            let mut last_err = ServiceError::ShardDown(shard);
-            for ck in store.checkpoints().into_iter().rev() {
-                let outcome = restore_tenants(ck.snapshot).and_then(|mut tenants| {
-                    let suffix = store.try_records_from(ck.wal_offset)?;
-                    let replayed =
-                        replay(&mut tenants, suffix.iter(), config.shed.inbox_watermark)?;
-                    let ticks = ck.ticks
-                        + suffix.iter().filter(|r| matches!(r, WalRecord::Tick)).count() as u64;
-                    Ok((tenants, replayed, ticks))
-                });
-                match outcome {
-                    Ok(done) => {
-                        restored = Some(done);
-                        break;
-                    }
-                    Err(e) => last_err = e,
-                }
-            }
-            let Some((tenants, replayed, ticks)) = restored else {
-                return Err(last_err);
-            };
+            let (tenants, replayed, ticks) =
+                restore_shard(store.as_ref(), shard, config.shed.inbox_watermark)?;
             for &id in tenants.keys() {
                 tenants_dir.insert(id, shard);
             }
@@ -813,29 +790,14 @@ impl Supervisor {
     /// never joined — a stalled thread cannot hang the supervisor.
     fn rebuild(&mut self, shard: usize, cause: &str) -> ServiceResult<()> {
         let panic_msg = self.seats[shard].handle.panic_message();
-        let seat = &self.seats[shard];
-        let mut rebuilt: Option<(BTreeMap<TenantId, Tenant>, u64)> = None;
-        let mut last_err = ServiceError::ShardDown(shard);
-        for ck in seat.store.checkpoints().into_iter().rev() {
-            let restored = restore_tenants(ck.snapshot).and_then(|mut tenants| {
-                // The store's retained window includes staged-but-uncommitted
-                // records, so worker-death recovery never loses the tail the
-                // live supervisor already externalized.
-                let suffix = seat.store.try_records_from(ck.wal_offset)?;
-                replay(&mut tenants, suffix.iter(), self.config.shed.inbox_watermark)
-                    .map(|replayed| (tenants, replayed))
-            });
-            match restored {
-                Ok(done) => {
-                    rebuilt = Some(done);
-                    break;
-                }
-                Err(e) => last_err = e,
-            }
-        }
-        let Some((tenants, replayed)) = rebuilt else {
-            return Err(last_err);
-        };
+        // The store's retained window includes staged-but-uncommitted
+        // records, so worker-death recovery never loses the tail the live
+        // supervisor already externalized.
+        let (tenants, replayed, _) = restore_shard(
+            self.seats[shard].store.as_ref(),
+            shard,
+            self.config.shed.inbox_watermark,
+        )?;
         // Replay covered the whole retained WAL, so the respawned worker
         // starts with every journaled record already applied.
         let replacement = spawn_shard_with(
@@ -965,6 +927,32 @@ impl Supervisor {
         }
         Ok(results)
     }
+}
+
+/// Rebuilds one shard's tenants from `store`: its newest checkpoint plus the
+/// WAL suffix past it, falling back to older checkpoints when one fails to
+/// restore or its suffix fails to decode or replay. Returns the tenants, the
+/// records replayed and the shard's tick count at the end of the log.
+fn restore_shard(
+    store: &dyn ShardStore,
+    shard: usize,
+    inbox_watermark: Option<u64>,
+) -> ServiceResult<(BTreeMap<TenantId, Tenant>, u64, u64)> {
+    let mut last_err = ServiceError::ShardDown(shard);
+    for ck in store.checkpoints().into_iter().rev() {
+        let outcome = restore_tenants(ck.snapshot).and_then(|mut tenants| {
+            let suffix = store.try_records_from(ck.wal_offset)?;
+            let replayed = replay(&mut tenants, suffix.iter(), inbox_watermark)?;
+            let ticks =
+                ck.ticks + suffix.iter().filter(|r| matches!(r, WalRecord::Tick)).count() as u64;
+            Ok((tenants, replayed, ticks))
+        });
+        match outcome {
+            Ok(done) => return Ok(done),
+            Err(e) => last_err = e,
+        }
+    }
+    Err(last_err)
 }
 
 #[cfg(test)]

@@ -31,21 +31,13 @@ pub enum WalRecord {
         /// The tenant's instance parameters.
         spec: TenantSpec,
     },
-    /// Buffered arrivals for one tenant. The supervisor no longer writes
-    /// this record (every submit rides in a `SubmitBatch`), but data
-    /// directories journaled by earlier per-submit ingestion still hold it,
-    /// so replay keeps applying it and those directories still cold-start.
-    Submit {
-        /// Target tenant.
-        tenant: TenantId,
-        /// `(color, count)` pairs, in submission order.
-        arrivals: Vec<(ColorId, u64)>,
-    },
     /// Group commit: every submit destined for this shard within one tick
     /// epoch, journaled as a single record. Entries keep submission order
-    /// (a tenant may appear more than once), so replay applies the same
-    /// per-entry inbox-watermark shedding decisions as `N` separate
-    /// `Submit` records would — including shedding that strikes mid-batch.
+    /// (a tenant may appear more than once), so replay applies the worker's
+    /// per-entry inbox-watermark shedding decisions — including shedding
+    /// that strikes mid-batch. (Directories journaled by per-submit
+    /// ingestion, one `Submit` record per submit, are refused at cold
+    /// start.)
     SubmitBatch {
         /// `(tenant, arrivals)` in original submission order.
         entries: Vec<(TenantId, Vec<(ColorId, u64)>)>,
@@ -149,11 +141,6 @@ pub fn replay<'a>(
                 // so construction errors here mean real corruption.
                 tenants.insert(*id, Tenant::new(spec.clone())?);
             }
-            WalRecord::Submit { tenant, arrivals } => {
-                if let Some(t) = tenants.get_mut(tenant) {
-                    let _ = t.submit_shedding(arrivals, inbox_watermark);
-                }
-            }
             WalRecord::SubmitBatch { entries } => {
                 // Entry order is submission order: each entry sheds (or not)
                 // against the inbox level left by the entries before it,
@@ -211,7 +198,7 @@ mod tests {
         }
         for round in 0..6u64 {
             let arrivals = vec![(ColorId((round % 2) as u32), 1 + round % 3)];
-            wal.append(WalRecord::Submit { tenant: 1, arrivals: arrivals.clone() });
+            wal.append(WalRecord::SubmitBatch { entries: vec![(1, arrivals.clone())] });
             live.get_mut(&1).unwrap().submit_shedding(&arrivals, Some(3)).unwrap();
             wal.append(WalRecord::Tick);
             for t in live.values_mut() {

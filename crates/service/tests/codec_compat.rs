@@ -1,24 +1,23 @@
-//! Cross-codec compatibility: a data directory is never married to one
-//! codec. Reading always sniffs the format per frame, so a JSON-era
-//! directory resumes under a binary-default build (the upgrade path), a
-//! binary directory resumes under `--codec json` (the rollback path), and
-//! a WAL whose segments mix both formats mid-stream recovers
-//! bit-identically to an uninterrupted run.
+//! Retired formats are refused, not misread. Every frame on disk is
+//! `[len][crc][0xB1][rrs-codec body]`; a data directory written in a format
+//! this build no longer reads makes the cold start fail with
+//! [`ServiceError::UnsupportedFormat`] naming the format, and leaves every
+//! file exactly as it was: nothing is quarantined, truncated, moved or
+//! deleted.
 //!
-//! Directories whose checkpoints predate policy-state checkpoints (each
-//! tenant's arrival log, restored by replay) are refused with a typed error
-//! and left untouched.
+//! * checkpoints whose tenants carry per-round arrival logs (the format
+//!   before checkpoints held policy state);
+//! * JSON checkpoints and JSON frames in the WAL (the text payloads
+//!   earlier builds could write).
 //!
-//! The oracle is the same one every storage suite uses: a
-//! [`MemoryBackend`] supervisor driven over the identical deterministic
-//! workload. Whatever codecs the disk runs used, final results and shard
-//! snapshots must match it exactly — and each other.
+//! Per-submit WAL directories get the same treatment in
+//! `crash_recovery.rs`.
 
-use rrs_core::{ColorId, ColorTable, RunResult};
+use rrs_core::{ColorId, ColorTable};
 use rrs_service::storage::frame::{self, Codec};
 use rrs_service::{
-    DiskBackend, DiskConfig, FaultPlan, MemoryBackend, PolicySpec, ServiceError, Supervisor,
-    SupervisorConfig, TenantSpec,
+    Checkpoint, DiskBackend, DiskConfig, FaultPlan, PolicySpec, ServiceError, Supervisor,
+    SupervisorConfig, TenantSpec, WalRecord,
 };
 use serde::Value;
 use std::collections::BTreeMap;
@@ -27,7 +26,6 @@ use std::path::{Path, PathBuf};
 const SHARDS: usize = 2;
 const TENANTS: u64 = 4;
 const EPOCHS_A: u64 = 9;
-const EPOCHS_B: u64 = 17;
 
 fn config() -> SupervisorConfig {
     SupervisorConfig {
@@ -51,11 +49,9 @@ fn arrivals(tenant: u64, round: u64) -> Vec<(ColorId, u64)> {
     vec![(ColorId(((tenant + round) % 2) as u32), 1 + (tenant * 7 + round * 3) % 4)]
 }
 
-fn disk_supervisor(dir: &Path, codec: Codec) -> Supervisor {
-    let mut cfg = DiskConfig::new(dir);
-    cfg.codec = codec;
-    Supervisor::with_storage(config(), &FaultPlan::none(), Box::new(DiskBackend::new(cfg)))
-        .unwrap()
+fn disk_supervisor(dir: &Path) -> Supervisor {
+    let backend = DiskBackend::new(DiskConfig::new(dir));
+    Supervisor::with_storage(config(), &FaultPlan::none(), Box::new(backend)).unwrap()
 }
 
 fn register_all(sup: &mut Supervisor) {
@@ -77,84 +73,6 @@ fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("rrs-codec-compat-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-/// Runs the workload for `EPOCHS_A` epochs under `first`, cleanly shuts
-/// down, resumes the same directory under `second` for the remaining
-/// epochs, and returns the final results plus the resumed supervisor's
-/// per-shard snapshots.
-fn split_codec_run(tag: &str, first: Codec, second: Codec) -> BTreeMap<u64, RunResult> {
-    let dir = temp_dir(tag);
-
-    let mut sup = disk_supervisor(&dir, first);
-    register_all(&mut sup);
-    drive_epochs(&mut sup, 0, EPOCHS_A);
-    // Drop without finish(): a clean shutdown mid-run, exactly the state
-    // an operator upgrades (or rolls back) a binary in.
-    drop(sup);
-
-    let mut resumed = disk_supervisor(&dir, second);
-    for shard in 0..SHARDS {
-        assert_eq!(
-            resumed.shard_ticks(shard).unwrap(),
-            EPOCHS_A,
-            "shard {shard} lost epochs across the {first}→{second} restart"
-        );
-    }
-    drive_epochs(&mut resumed, EPOCHS_A, EPOCHS_B);
-    let results = resumed.finish().unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
-    results
-}
-
-fn memory_oracle_results() -> BTreeMap<u64, RunResult> {
-    let mut sup =
-        Supervisor::with_storage(config(), &FaultPlan::none(), Box::new(MemoryBackend::new()))
-            .unwrap();
-    register_all(&mut sup);
-    drive_epochs(&mut sup, 0, EPOCHS_B);
-    sup.finish().unwrap()
-}
-
-/// The upgrade path: a JSON-era data directory resumed by a binary-default
-/// build, and the rollback path: a binary directory resumed under the JSON
-/// oracle codec. Both must equal the uninterrupted in-memory run — and by
-/// transitivity, each other.
-#[test]
-fn mixed_codec_directories_recover_bit_identically() {
-    let oracle = memory_oracle_results();
-    let upgraded = split_codec_run("upgrade", Codec::Json, Codec::Binary);
-    assert_eq!(upgraded, oracle, "JSON→binary resume diverged from the oracle");
-    let rolled_back = split_codec_run("rollback", Codec::Binary, Codec::Json);
-    assert_eq!(rolled_back, oracle, "binary→JSON resume diverged from the oracle");
-}
-
-/// `--codec json` is the conformance oracle: a pure-JSON disk run and a
-/// pure-binary disk run must produce identical results, snapshots and
-/// epoch counts — the codec changes bytes, never semantics. Also pins the
-/// size win: the binary directory writes fewer payload bytes.
-#[test]
-fn json_and_binary_runs_are_result_identical_and_binary_is_smaller() {
-    let mut per_codec: Vec<(BTreeMap<u64, RunResult>, Vec<_>, u64)> = Vec::new();
-    for codec in [Codec::Json, Codec::Binary] {
-        let dir = temp_dir(codec.name());
-        let mut sup = disk_supervisor(&dir, codec);
-        register_all(&mut sup);
-        drive_epochs(&mut sup, 0, EPOCHS_B);
-        let stats = sup.stats().unwrap();
-        let snapshots: Vec<_> = (0..SHARDS).map(|s| sup.snapshot_shard(s).unwrap()).collect();
-        let results = sup.finish().unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
-        per_codec.push((results, snapshots, stats.storage.payload_bytes));
-    }
-    let (json_results, json_snaps, json_payload) = &per_codec[0];
-    let (bin_results, bin_snaps, bin_payload) = &per_codec[1];
-    assert_eq!(bin_results, json_results, "codecs disagree on final results");
-    assert_eq!(bin_snaps, json_snaps, "codecs disagree on shard snapshots");
-    assert!(
-        bin_payload < json_payload,
-        "binary payload {bin_payload} >= json payload {json_payload}"
-    );
 }
 
 /// Every file under `dir` (recursively, so a `.quarantine/` subdirectory
@@ -201,7 +119,7 @@ fn to_log_bearing(tree: &mut Value) {
 #[test]
 fn log_bearing_checkpoints_refuse_cold_start_and_leave_the_directory_untouched() {
     let dir = temp_dir("log-bearing");
-    let mut sup = disk_supervisor(&dir, Codec::Binary);
+    let mut sup = disk_supervisor(&dir);
     register_all(&mut sup);
     drive_epochs(&mut sup, 0, EPOCHS_A);
     drop(sup);
@@ -232,5 +150,99 @@ fn log_bearing_checkpoints_refuse_cold_start_and_leave_the_directory_untouched()
         Ok(_) => panic!("a log-bearing directory cold-started"),
     }
     assert_eq!(tree(&dir), before, "the refused directory was modified");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A directory after a clean `EPOCHS_A`-epoch run, checkpoints at ticks 4
+/// and 8 included.
+fn written_directory(tag: &str) -> PathBuf {
+    let dir = temp_dir(tag);
+    let mut sup = disk_supervisor(&dir);
+    register_all(&mut sup);
+    drive_epochs(&mut sup, 0, EPOCHS_A);
+    drop(sup);
+    dir
+}
+
+/// `value` as the bare-JSON frame earlier builds could write: CRC-valid,
+/// no binary tag.
+fn json_frame<T: serde::Serialize>(value: &T) -> Vec<u8> {
+    let mut out = Vec::new();
+    frame::encode_frame(&serde_json::to_vec(value).unwrap(), &mut out);
+    out
+}
+
+/// Cold-starts `dir` expecting a refusal that names `format` and a path
+/// containing `file`, then checks the directory is byte-identical to
+/// `before`.
+fn assert_refused(dir: &Path, before: &BTreeMap<PathBuf, Vec<u8>>, file: &str, format: &str) {
+    let backend = DiskBackend::new(DiskConfig::new(dir));
+    match Supervisor::with_storage(config(), &FaultPlan::none(), Box::new(backend)) {
+        Err(ServiceError::UnsupportedFormat { path, format: got }) => {
+            assert!(path.contains(file), "{path} does not name {file}");
+            assert!(got.contains(format), "{got}");
+        }
+        Err(other) => panic!("expected UnsupportedFormat, got {other}"),
+        Ok(_) => panic!("a directory in a retired format cold-started"),
+    }
+    assert_eq!(&tree(dir), before, "the refused directory was modified");
+}
+
+/// Checkpoints written as JSON are refused before anything in the
+/// directory is touched, stray files a normal cold start would clean up
+/// included.
+#[test]
+fn json_checkpoints_refuse_cold_start_and_leave_the_directory_untouched() {
+    let dir = written_directory("json-ck");
+    let shard_dir = dir.join("shard-000");
+    let mut rewritten = 0;
+    for (path, bytes) in tree(&shard_dir) {
+        if path.extension().is_some_and(|e| e == "ck") {
+            let (ck, _) = frame::decode_value::<Checkpoint>(&bytes).unwrap();
+            std::fs::write(&path, json_frame(&ck)).unwrap();
+            rewritten += 1;
+        }
+    }
+    assert!(rewritten > 0, "the run wrote checkpoints");
+    std::fs::write(shard_dir.join("ck-1.ck"), b"not a frame").unwrap();
+    std::fs::write(shard_dir.join("ck-77.ck.tmp"), b"interrupted write").unwrap();
+    let before = tree(&dir);
+    assert_refused(&dir, &before, ".ck", "JSON");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A JSON frame in the replay suffix, the records past the newest
+/// checkpoint, is refused rather than read as the end of the log: the
+/// segment is not truncated before it.
+#[test]
+fn a_json_frame_in_the_replay_suffix_refuses_cold_start_and_leaves_the_directory_untouched() {
+    let dir = written_directory("json-suffix");
+    let shard_dir = dir.join("shard-000");
+    let offset = |path: &Path, prefix: &str, suffix: &str| -> Option<u64> {
+        let name = path.file_name()?.to_str()?;
+        name.strip_prefix(prefix)?.strip_suffix(suffix)?.parse().ok()
+    };
+    let files = tree(&shard_dir);
+    let newest_ck = files.keys().filter_map(|p| offset(p, "ck-", ".ck")).max().unwrap();
+    let (seg, bytes) = files
+        .iter()
+        .filter_map(|(p, b)| Some((offset(p, "wal-", ".seg")?, p, b)))
+        .max_by_key(|&(start, _, _)| start)
+        .map(|(start, p, b)| {
+            assert_eq!(start, newest_ck, "the last segment starts at the newest checkpoint");
+            (p.clone(), b.clone())
+        })
+        .unwrap();
+    // Rewrite the segment's last record, a suffix record, as JSON.
+    let (frames, valid_len, err) = frame::scan_frames(&bytes);
+    assert!(err.is_none() && valid_len == bytes.len() && !frames.is_empty());
+    let last = *frames.last().unwrap();
+    let (record, _) = frame::decode_value::<WalRecord>(&bytes[last..]).unwrap();
+    let mut rewritten = bytes[..last].to_vec();
+    rewritten.extend_from_slice(&json_frame(&record));
+    std::fs::write(&seg, rewritten).unwrap();
+    let before = tree(&dir);
+    let name = seg.file_name().unwrap().to_str().unwrap().to_owned();
+    assert_refused(&dir, &before, &name, "JSON");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,7 +1,7 @@
 //! Binary-codec round-trip suite: every message the service persists or
 //! ships over a socket must survive the `rrs-codec` binary format
-//! bit-identically, and the codec layer itself must uphold the same
-//! adversarial guarantees the JSON path always had.
+//! bit-identically, and the codec layer itself must uphold the frame
+//! layer's adversarial guarantees.
 //!
 //! * **Variant coverage** — every [`WalRecord`], [`Checkpoint`],
 //!   [`Request`] and [`Response`] variant round-trips through a binary
@@ -72,9 +72,8 @@ fn live_run() -> (ServiceStats, ShardSnapshot, u64, Vec<(u64, RunResult)>, Check
     (stats, snapshot, ticks, results, all)
 }
 
-/// Frame-level binary round trip: encode with the binary codec, decode,
-/// compare. Also asserts the frame carries the binary tag so a scan can
-/// tell it from legacy JSON.
+/// Frame-level binary round trip: encode, decode, compare. Also asserts
+/// the frame carries the binary tag.
 fn frame_round_trip<T>(value: &T)
 where
     T: Serialize + serde::Deserialize + PartialEq + std::fmt::Debug,
@@ -91,22 +90,18 @@ fn wire_round_trip<T>(value: &T)
 where
     T: Serialize + serde::Deserialize + PartialEq + std::fmt::Debug,
 {
-    for compress in [false, true] {
-        let bytes = wire::encode_message_with(value, Codec::Binary, compress).unwrap();
-        let decoded = wire::decode_message_full::<T>(&bytes).unwrap();
-        assert_eq!(decoded.consumed, bytes.len());
-        assert_eq!(decoded.codec, Codec::Binary);
-        assert_eq!(&decoded.value, value);
-    }
+    let mut bytes = Vec::new();
+    let body = wire::encode_message_into(value, Codec::Binary, false, &mut Vec::new(), &mut bytes)
+        .unwrap();
+    assert_eq!(body, bytes.len() - frame::FRAME_HEADER - 1, "body excludes framing and tag");
+    let (back, consumed) = wire::decode_message::<T>(&bytes).unwrap();
+    assert_eq!(consumed, bytes.len());
+    assert_eq!(&back, value);
 }
 
 fn wal_record_exemplars() -> Vec<WalRecord> {
     vec![
         WalRecord::AddTenant { id: 7, spec: spec_for(7) },
-        WalRecord::Submit {
-            tenant: 3,
-            arrivals: vec![(ColorId(0), 5), (ColorId(2), 1)],
-        },
         WalRecord::SubmitBatch {
             entries: vec![
                 (1, vec![(ColorId(1), 2)]),
@@ -122,17 +117,6 @@ fn wal_record_exemplars() -> Vec<WalRecord> {
 fn every_wal_record_variant_round_trips_binary() {
     for record in wal_record_exemplars() {
         frame_round_trip(&record);
-        // The point of the codec: records shrink vs JSON (a bare `Tick` —
-        // one string either way — merely ties).
-        let binary = frame::encode_value_with(&record, Codec::Binary).unwrap();
-        let json = frame::encode_value_with(&record, Codec::Json).unwrap();
-        let strictly = !matches!(record, WalRecord::Tick);
-        assert!(
-            if strictly { binary.len() < json.len() } else { binary.len() <= json.len() },
-            "{record:?}: binary {} vs json {}",
-            binary.len(),
-            json.len()
-        );
     }
 }
 
@@ -186,7 +170,7 @@ fn every_response_variant_round_trips_binary_with_live_payloads() {
 }
 
 /// The streaming `Emit` path and the `to_value()` tree must encode to the
-/// same bytes: the hot paths stream, the tests and JSON oracle walk the
+/// same bytes: the hot paths stream, the tests and `rrs dump` walk the
 /// tree, and any drift between them would be a silent format fork.
 #[test]
 fn emit_agrees_with_value_tree_for_service_types() {
@@ -212,10 +196,8 @@ fn arrivals_strategy() -> impl Strategy<Value = Vec<(ColorId, u64)>> {
 fn submit_strategy() -> impl Strategy<Value = WalRecord> {
     let entries = proptest::collection::vec((0u64..9, arrivals_strategy()), 0..6);
     prop_oneof![
-        (0u64..100, arrivals_strategy()).prop_map(|(tenant, arrivals)| WalRecord::Submit {
-            tenant,
-            arrivals
-        }),
+        (0u64..100, arrivals_strategy())
+            .prop_map(|(tenant, arrivals)| WalRecord::SubmitBatch { entries: vec![(tenant, arrivals)] }),
         entries.prop_map(|entries| WalRecord::SubmitBatch { entries }),
         Just(WalRecord::Tick),
     ]
@@ -251,7 +233,7 @@ proptest! {
 
 /// Every proper prefix of a binary frame is torn — recovery keeps the
 /// committed prefix and treats the tail as an interrupted write, exactly
-/// as it always did for JSON frames. Swept over a WAL record and over a
+/// as it does for any frame. Swept over a WAL record and over a
 /// checkpoint carrying every policy's saved state.
 #[test]
 fn every_truncation_of_a_binary_frame_is_torn() {
@@ -291,24 +273,4 @@ fn single_bit_flips_never_forge_a_policy_state_checkpoint() {
             }
         }
     }
-}
-
-/// A binary frame followed by a JSON frame in one buffer scans in order —
-/// the per-frame sniff is what makes mixed-format WAL segments work.
-#[test]
-fn scan_values_handles_interleaved_codecs() {
-    let records = [
-        WalRecord::Tick,
-        WalRecord::Submit { tenant: 1, arrivals: vec![(ColorId(0), 2)] },
-        WalRecord::Tick,
-    ];
-    let mut buf = Vec::new();
-    for (i, record) in records.iter().enumerate() {
-        let codec = if i % 2 == 0 { Codec::Binary } else { Codec::Json };
-        buf.extend_from_slice(&frame::encode_value_with(record, codec).unwrap());
-    }
-    let (scanned, consumed, err) = frame::scan_values::<WalRecord>(&buf);
-    assert_eq!(consumed, buf.len());
-    assert!(err.is_none(), "{err:?}");
-    assert_eq!(scanned, records);
 }

@@ -22,11 +22,12 @@
 //! is a no-op, so a normal `cargo test` run sails through it.
 
 use rrs_core::{ColorId, ColorTable, RunResult};
+use rrs_service::storage::frame::{self, Codec};
 use rrs_service::{
     shard_for, DiskBackend, DiskConfig, FaultPlan, MemoryBackend, PolicySpec, RetryPolicy,
-    ShardFaults, ShardStore, ShedConfig, StorageBackend, Supervisor, SupervisorConfig, Tenant,
-    TenantSpec, WalRecord,
+    ServiceError, ShedConfig, Supervisor, SupervisorConfig, Tenant, TenantSpec, WalRecord,
 };
+use serde::{Serialize, Value};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -293,11 +294,11 @@ fn torn_write_fault_recovers_the_committed_prefix() {
 fn corrupt_crc_fault_is_detected_and_replay_stops_at_the_rot() {
     let dir = temp_dir("crc");
     const EPOCHS: u64 = 10;
-    // Shard 0's commit 10 is round 6, between the two checkpoints the
-    // directory retains (ticks 4 and 8), so the cold start reads the rot. A
-    // rot below the oldest retained checkpoint would be reclaimed with its
-    // segment at the tick-8 adoption and never read.
-    let plan = FaultPlan::parse("corrupt-crc@10:0", SHARDS, EPOCHS).unwrap();
+    // Shard 0's commit 12 is round 8, past the newest checkpoint the
+    // directory retains (tick 8), so the rot sits in the replay suffix. Rot
+    // between the two retained checkpoints (ticks 4 and 8) costs nothing:
+    // see `rot_between_the_retained_checkpoints_loses_no_acked_epoch`.
+    let plan = FaultPlan::parse("corrupt-crc@12:0", SHARDS, EPOCHS).unwrap();
     {
         let mut sup = disk_supervisor(&dir, &plan);
         register_all(&mut sup);
@@ -340,55 +341,107 @@ fn checkpointed_cold_start_replays_only_the_suffix() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Data directories written by per-submit ingestion hold one `Submit`
-/// record per submit, each committed on its own, instead of one
-/// `SubmitBatch` per epoch. No live path writes that layout any more, so
-/// this case journals it by hand through the storage API and checks that a
-/// cold start replays it into the lone-tenant oracle's state — and that the
-/// recovered service keeps going on top of it.
+/// Rot in round 6, between the two retained checkpoints (ticks 4 and 8),
+/// loses no acked epoch: the tick-8 checkpoint covers every record the
+/// rot cut off, and its segment starts exactly at its offset, so the cold
+/// start picks the walk up there and replays rounds 8 and 9.
 #[test]
-fn per_submit_wal_directories_still_cold_start() {
-    let dir = temp_dir("per-submit");
-    const EPOCHS: u64 = 9;
-    const MORE: u64 = 3;
+fn rot_between_the_retained_checkpoints_loses_no_acked_epoch() {
+    let dir = temp_dir("crc-between");
+    const EPOCHS: u64 = 10;
+    let plan = FaultPlan::parse("corrupt-crc@10:0", SHARDS, EPOCHS).unwrap();
     {
-        let mut backend = DiskBackend::new(DiskConfig::new(&dir));
-        let mut stores: Vec<Box<dyn ShardStore>> = (0..SHARDS)
-            .map(|s| backend.open_shard(s, ShardFaults::none()).unwrap())
-            .collect();
-        for id in 0..TENANTS {
-            let store = &mut stores[shard_for(id, SHARDS)];
-            store.append(&WalRecord::AddTenant { id, spec: spec_for(id) }).unwrap();
-            store.commit().unwrap();
-        }
-        for round in 0..EPOCHS {
-            for id in 0..TENANTS {
-                let store = &mut stores[shard_for(id, SHARDS)];
-                let record = WalRecord::Submit { tenant: id, arrivals: arrivals(id, round) };
-                store.append(&record).unwrap();
-                store.commit().unwrap();
-            }
-            for store in &mut stores {
-                store.append(&WalRecord::Tick).unwrap();
-                store.commit().unwrap();
-            }
-        }
+        let mut sup = disk_supervisor(&dir, &plan);
+        register_all(&mut sup);
+        drive_epochs(&mut sup, 0, EPOCHS);
+        sup.finish().unwrap();
     }
     let mut recovered = disk_supervisor(&dir, &FaultPlan::none());
-    for shard in 0..SHARDS {
-        assert_eq!(recovered.shard_ticks(shard).unwrap(), EPOCHS, "shard {shard} epochs");
-    }
-    drive_epochs(&mut recovered, EPOCHS, EPOCHS + MORE);
-    let oracle: BTreeMap<u64, RunResult> = (0..TENANTS)
+    let storage = recovered.storage_stats();
+    assert!(
+        storage.corrupt_frames_dropped >= 1,
+        "CRC caught the silent bit flip: {storage}"
+    );
+    let ticks = assert_prefix_consistent(&mut recovered);
+    assert_eq!(ticks, vec![EPOCHS; SHARDS], "every acked epoch recovered");
+    assert_eq!(recovered.finish().unwrap(), lone_tenants(EPOCHS), "recovery diverged");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every tenant's final result when run alone for `epochs` rounds.
+fn lone_tenants(epochs: u64) -> BTreeMap<u64, RunResult> {
+    (0..TENANTS)
         .map(|id| {
             let mut t = Tenant::new(spec_for(id)).unwrap();
-            for round in 0..EPOCHS + MORE {
+            for round in 0..epochs {
                 t.submit(&arrivals(id, round)).unwrap();
                 t.tick().unwrap();
             }
             (id, t.finish().unwrap())
         })
-        .collect();
-    assert_eq!(recovered.finish().unwrap(), oracle, "per-submit replay diverged");
+        .collect()
+}
+
+/// Every file under `dir`, recursively, with its bytes.
+fn tree(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+    let mut files = BTreeMap::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            files.extend(tree(&path));
+        } else {
+            files.insert(path.clone(), std::fs::read(&path).unwrap());
+        }
+    }
+    files
+}
+
+/// Data directories written by per-submit ingestion hold one `Submit`
+/// record per submit instead of one `SubmitBatch` per epoch. This build
+/// no longer reads that record, so a genesis-only per-submit directory
+/// (no checkpoint, the whole log replayed) is refused with a typed error
+/// naming the format and left byte-identical. No live path writes the
+/// record, so the segments are written by hand: binary frames of the
+/// `{"Submit": {tenant, arrivals}}` trees the old record encoded to.
+#[test]
+fn per_submit_wal_directories_are_refused_and_left_untouched() {
+    let dir = temp_dir("per-submit");
+    const EPOCHS: u64 = 9;
+    let mut segments = vec![Vec::new(); SHARDS];
+    for id in 0..TENANTS {
+        let record = WalRecord::AddTenant { id, spec: spec_for(id) };
+        frame::encode_value_into(&record, Codec::Binary, &mut segments[shard_for(id, SHARDS)])
+            .unwrap();
+    }
+    for round in 0..EPOCHS {
+        for id in 0..TENANTS {
+            let fields = vec![
+                ("tenant".to_string(), id.to_value()),
+                ("arrivals".to_string(), arrivals(id, round).to_value()),
+            ];
+            let submit = Value::Object(vec![("Submit".into(), Value::Object(fields))]);
+            frame::encode_value_into(&submit, Codec::Binary, &mut segments[shard_for(id, SHARDS)])
+                .unwrap();
+        }
+        for segment in &mut segments {
+            frame::encode_value_into(&WalRecord::Tick, Codec::Binary, segment).unwrap();
+        }
+    }
+    for (shard, segment) in segments.iter().enumerate() {
+        let shard_dir = dir.join(format!("shard-{shard:03}"));
+        std::fs::create_dir_all(&shard_dir).unwrap();
+        std::fs::write(shard_dir.join("wal-0.seg"), segment).unwrap();
+    }
+    let before = tree(&dir);
+    let backend = DiskBackend::new(DiskConfig::new(&dir));
+    match Supervisor::with_storage(config(), &FaultPlan::none(), Box::new(backend)) {
+        Err(ServiceError::UnsupportedFormat { path, format }) => {
+            assert!(path.contains("wal-0.seg"), "{path}");
+            assert!(format.contains("per-submit"), "{format}");
+        }
+        Err(other) => panic!("expected UnsupportedFormat, got {other}"),
+        Ok(_) => panic!("a per-submit directory cold-started"),
+    }
+    assert_eq!(tree(&dir), before, "the refused directory was modified");
     let _ = std::fs::remove_dir_all(&dir);
 }

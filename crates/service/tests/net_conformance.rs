@@ -7,10 +7,9 @@
 //! in-process on a [`Supervisor`] — and the final per-tenant
 //! [`RunResult`]s, per-shard [`rrs_service::ShardSnapshot`]s and the
 //! deterministic slices of [`ServiceStats`] must be **bit-identical**.
-//! That holds across memory and disk backends, with PackBits compression
-//! on the wire, through a severed-and-replayed connection, with two
-//! clients co-driving the tick barrier, and with every shard killed once
-//! mid-run.
+//! That holds across memory and disk backends, through a
+//! severed-and-replayed connection, with two clients co-driving the tick
+//! barrier, and with every shard killed once mid-run.
 
 use rrs_core::{ColorTable, RunResult};
 use rrs_service::{
@@ -93,10 +92,8 @@ fn sink_config() -> SinkConfig {
             backoff: Duration::from_millis(2),
         },
         seed: 7,
-        compress: false,
         parties: 1,
         max_inflight: 4,
-        ..SinkConfig::default()
     }
 }
 
@@ -297,29 +294,6 @@ fn net_run_matches_inproc_on_disk() {
     );
     let _ = std::fs::remove_dir_all(&net_dir);
     let _ = std::fs::remove_dir_all(&oracle_dir);
-}
-
-/// PackBits on the wire changes bytes, not results. The encoder only sets
-/// the flag when compression actually shrinks a message (run-poor JSON
-/// payloads ride uncompressed), so the compressed stream is never larger;
-/// `net_wire.rs` proves run-heavy payloads do shrink.
-#[test]
-fn compressed_wire_is_bit_identical_and_smaller() {
-    let oracle = inproc_run(quick_config(2), None);
-    let plain_cfg = sink_config();
-    let compressed_cfg = SinkConfig { compress: true, ..sink_config() };
-    let (plain, plain_counters) =
-        net_run(quick_config(2), &FaultPlan::none(), None, plain_cfg, None);
-    let (compressed, compressed_counters) =
-        net_run(quick_config(2), &FaultPlan::none(), None, compressed_cfg, None);
-    assert_identical(&plain, &oracle, true);
-    assert_identical(&compressed, &oracle, true);
-    assert!(
-        compressed_counters.bytes_sent <= plain_counters.bytes_sent,
-        "shrink-only compression never inflates the stream: {} vs {}",
-        compressed_counters.bytes_sent,
-        plain_counters.bytes_sent
-    );
 }
 
 /// Sever the TCP connection under the client repeatedly mid-run: the sink

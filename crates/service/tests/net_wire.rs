@@ -2,30 +2,38 @@
 //! treatment `storage_properties.rs` gives the WAL.
 //!
 //! * **Round-trip** — random `Request`/`Response` messages survive
-//!   encode → decode bit-identically, compressed and not.
+//!   encode → decode bit-identically.
 //! * **Corruption** — flipping any single byte of a frame must never
-//!   yield a different message: the CRC (or the flags/decompression
-//!   checks behind it) rejects it.
+//!   yield a different message: the CRC (or the tag and body checks
+//!   behind it) rejects it. A payload without the binary tag — a JSON
+//!   frame, or a protocol-2 frame with its flags byte — is corrupt.
 //! * **Truncation** — chopping a frame at every byte offset reads as
 //!   *torn* (keep reading), never as a bogus message; the streaming
 //!   reader reassembles frames delivered one byte at a time.
-//! * **PackBits** — round-trips arbitrary bytes (runs past the 128
-//!   control-byte limit included), actually shrinks run-heavy input, and
-//!   rejects truncated streams.
+//! * **One version** — a server answers a `Hello` from any other protocol
+//!   version with an error naming the mismatch, and asking the encoder
+//!   for compression is an error.
 //! * **Reconnect schedule** — the client's redial backoff is the shard
 //!   layer's seeded-jittered schedule: bounded, deterministic per seed,
-//!   distinct across seeds (satellite of the `rrs serve` ISSUE).
+//!   distinct across seeds.
 
 use proptest::prelude::*;
 use rrs_core::ColorId;
 use rrs_service::net::wire::{
-    self, decode_message, decode_message_full, encode_message, encode_message_with,
-    packbits_compress, packbits_decompress, MsgStream, Request, Response,
+    self, decode_message, encode_message_into, MsgStream, Request, Response,
 };
-use rrs_service::storage::frame::{Codec, FrameError};
-use rrs_service::RetryPolicy;
+use rrs_service::storage::frame::{self, Codec, FrameError};
+use rrs_service::{NetServer, RetryPolicy, Supervisor, SupervisorConfig};
+use serde::Serialize;
 use std::io::Write;
 use std::time::Duration;
+
+/// One message, framed by the wire's encoder.
+fn encode<T: Serialize>(msg: &T) -> Vec<u8> {
+    let mut frame = Vec::new();
+    encode_message_into(msg, Codec::Binary, false, &mut Vec::new(), &mut frame).unwrap();
+    frame
+}
 
 fn request_strategy() -> impl Strategy<Value = Request> {
     let arrivals = proptest::collection::vec((0u32..4, 1u64..50), 0..4)
@@ -60,18 +68,16 @@ fn response_strategy() -> impl Strategy<Value = Response> {
 
 proptest! {
     #[test]
-    fn requests_round_trip(req in request_strategy(), compress in 0u8..2) {
-        let compress = compress == 1;
-        let frame = encode_message(&req, compress).unwrap();
+    fn requests_round_trip(req in request_strategy()) {
+        let frame = encode(&req);
         let (back, consumed) = decode_message::<Request>(&frame).unwrap();
         prop_assert_eq!(consumed, frame.len());
         prop_assert_eq!(back, req);
     }
 
     #[test]
-    fn responses_round_trip(resp in response_strategy(), compress in 0u8..2) {
-        let compress = compress == 1;
-        let frame = encode_message(&resp, compress).unwrap();
+    fn responses_round_trip(resp in response_strategy()) {
+        let frame = encode(&resp);
         let (back, consumed) = decode_message::<Response>(&frame).unwrap();
         prop_assert_eq!(consumed, frame.len());
         prop_assert_eq!(back, resp);
@@ -87,7 +93,7 @@ proptest! {
         pos_seed in 0usize..usize::MAX,
         bit in 0u8..8,
     ) {
-        let frame = encode_message(&req, false).unwrap();
+        let frame = encode(&req);
         let mut bent = frame.clone();
         let pos = pos_seed % bent.len();
         bent[pos] ^= 1 << bit;
@@ -101,7 +107,7 @@ proptest! {
     /// message — the live-stream analogue of the WAL truncation sweep.
     #[test]
     fn every_truncation_reads_as_torn(req in request_strategy()) {
-        let frame = encode_message(&req, true).unwrap();
+        let frame = encode(&req);
         for cut in 0..frame.len() {
             match decode_message::<Request>(&frame[..cut]) {
                 Err(FrameError::Torn) => {}
@@ -109,103 +115,60 @@ proptest! {
             }
         }
     }
+}
 
-    /// The binary codec gets the same round-trip guarantee as JSON, in all
-    /// four flag combinations, and the decoder reports which codec the
-    /// frame used (the server answers in kind).
-    #[test]
-    fn binary_frames_round_trip_and_self_describe(
-        req in request_strategy(),
-        compress in 0u8..2,
-    ) {
-        let compress = compress == 1;
-        let frame = encode_message_with(&req, Codec::Binary, compress).unwrap();
-        let decoded = decode_message_full::<Request>(&frame).unwrap();
-        prop_assert_eq!(decoded.consumed, frame.len());
-        prop_assert_eq!(decoded.codec, Codec::Binary);
-        prop_assert_eq!(decoded.value, req);
-    }
-
-    /// A JSON frame still reports Json after the binary codec became the
-    /// default — the bit, not a negotiation, decides.
-    #[test]
-    fn json_frames_still_decode_as_json(resp in response_strategy()) {
-        let frame = encode_message(&resp, false).unwrap();
-        let decoded = decode_message_full::<Response>(&frame).unwrap();
-        prop_assert_eq!(decoded.codec, Codec::Json);
-        prop_assert_eq!(decoded.value, resp);
-    }
-
-    #[test]
-    fn binary_single_byte_flips_never_forge_a_message(
-        req in request_strategy(),
-        pos_seed in 0usize..usize::MAX,
-        bit in 0u8..8,
-    ) {
-        let frame = encode_message_with(&req, Codec::Binary, false).unwrap();
-        let mut bent = frame.clone();
-        let pos = pos_seed % bent.len();
-        bent[pos] ^= 1 << bit;
-        match decode_message::<Request>(&bent) {
-            Ok((back, _)) => prop_assert_eq!(back, req, "flipped byte {} forged a message", pos),
-            Err(FrameError::Corrupt) | Err(FrameError::Torn) => {}
-        }
-    }
-
-    #[test]
-    fn packbits_round_trips(bytes in proptest::collection::vec(0u8..=255, 0..2048)) {
-        let packed = packbits_compress(&bytes);
-        prop_assert_eq!(packbits_decompress(&packed).unwrap(), bytes);
-    }
-
-    /// Runs longer than one control byte can express (128) still round-trip.
-    #[test]
-    fn packbits_handles_long_runs(byte in 0u8..=255, len in 120usize..600) {
-        let bytes = vec![byte; len];
-        let packed = packbits_compress(&bytes);
-        prop_assert!(packed.len() <= 2 * len.div_ceil(128) + 2);
-        prop_assert_eq!(packbits_decompress(&packed).unwrap(), bytes);
+/// A CRC-valid frame whose payload does not start with the binary tag is
+/// corrupt: a protocol-2 frame (flags byte `0x02`, then the same binary
+/// body), a JSON document, an undefined flags byte, an empty payload.
+#[test]
+fn a_payload_without_the_binary_tag_is_corrupt() {
+    let req = Request::Tick { epoch: 3, parties: 1 };
+    let mut proto2 = vec![0x02];
+    proto2.extend_from_slice(&rrs_codec::to_vec(&req));
+    let payloads = [proto2, serde_json::to_vec(&req).unwrap(), vec![0b0000_0100, b'0'], vec![]];
+    for payload in payloads {
+        let mut frame = Vec::new();
+        frame::encode_frame(&payload, &mut frame);
+        assert!(
+            matches!(decode_message::<Request>(&frame), Err(FrameError::Corrupt)),
+            "payload {payload:02x?} decoded"
+        );
     }
 }
 
+/// Compression is gone: asking for it is an error, not a silently
+/// uncompressed frame.
 #[test]
-fn packbits_shrinks_run_heavy_input_and_encoder_uses_it() {
-    let run_heavy: Vec<u8> = std::iter::repeat_n(0u8, 500)
-        .chain(std::iter::repeat_n(7u8, 300))
-        .collect();
-    let packed = packbits_compress(&run_heavy);
-    assert!(packed.len() < run_heavy.len() / 10, "800 run bytes pack tiny: {}", packed.len());
-
-    // A message dominated by a long run compresses on the wire; the same
-    // message without the flag does not — and both decode identically.
-    let msg = Response::Err { message: String::from_utf8(vec![b'x'; 4096]).unwrap() };
-    let plain = encode_message(&msg, false).unwrap();
-    let packed = encode_message(&msg, true).unwrap();
-    assert!(packed.len() < plain.len() / 4, "{} vs {}", packed.len(), plain.len());
-    assert_eq!(decode_message::<Response>(&plain).unwrap().0, msg);
-    assert_eq!(decode_message::<Response>(&packed).unwrap().0, msg);
-}
-
-#[test]
-fn packbits_rejects_truncated_streams() {
-    // Literal control byte promising 4 bytes, only 2 present.
-    assert_eq!(packbits_decompress(&[3, 1, 2]), Err(FrameError::Corrupt));
-    // Run control byte with no byte to repeat.
-    assert_eq!(packbits_decompress(&[200]), Err(FrameError::Corrupt));
-    // The no-op control byte is skipped.
-    assert_eq!(packbits_decompress(&[128]).unwrap(), Vec::<u8>::new());
-}
-
-#[test]
-fn unknown_flag_bits_are_corrupt() {
-    // 0b01 is PackBits and 0b10 is the binary codec; 0b100 is undefined.
+fn compression_requests_are_refused() {
     let mut frame = Vec::new();
-    let payload = [0b0000_0100u8, b'0'];
-    rrs_service::storage::frame::encode_frame(&payload, &mut frame);
-    assert!(matches!(
-        decode_message::<Request>(&frame),
-        Err(FrameError::Corrupt)
-    ));
+    let err = encode_message_into(&Request::Stats, Codec::Binary, true, &mut Vec::new(), &mut frame)
+        .unwrap_err();
+    assert!(err.to_string().contains("compression"), "{err}");
+    assert!(frame.is_empty(), "nothing was framed");
+}
+
+/// A client speaking any other protocol version is told so in a
+/// `Response::Err` that names both versions.
+#[test]
+fn hello_from_another_protocol_version_is_refused() {
+    let sup = Supervisor::new(SupervisorConfig { shards: 1, ..SupervisorConfig::default() })
+        .unwrap();
+    let mut server = NetServer::start(sup, "127.0.0.1:0").unwrap();
+    let stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut msgs = MsgStream::new(stream).unwrap();
+    msgs.send(&Request::Hello { proto: 2, client: 1 }, false).unwrap();
+    match msgs.recv::<Response>().unwrap() {
+        Response::Err { message } => {
+            assert!(message.contains("protocol mismatch"), "{message}");
+            assert!(message.contains("client 2"), "{message}");
+            assert!(message.contains(&wire::PROTO_VERSION.to_string()), "{message}");
+        }
+        other => panic!("proto 2 hello answered {other:?}"),
+    }
+    msgs.send(&Request::Hello { proto: wire::PROTO_VERSION, client: 1 }, false).unwrap();
+    assert!(matches!(msgs.recv::<Response>().unwrap(), Response::Hello { shards: 1, .. }));
+    server.shutdown();
 }
 
 #[test]
@@ -228,30 +191,26 @@ fn absurd_length_prefix_is_rejected_not_buffered() {
     drop(writer.join().unwrap());
 }
 
-/// A stream switching codecs mid-connection is fine: the receiver reports
-/// each frame's codec, so a server can always answer in kind. Also pins
-/// the body-byte accounting both sides of a sink report.
+/// Both ends of a stream count the same body bytes, the figure a sink
+/// reports; a send that asks for compression fails before writing.
 #[test]
-fn msg_stream_reports_per_frame_codec_and_body_bytes() {
+fn msg_stream_counts_body_bytes_at_both_ends() {
     use std::net::TcpListener;
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let writer = std::thread::spawn(move || {
         let mut msgs = MsgStream::new(std::net::TcpStream::connect(addr).unwrap()).unwrap();
-        msgs.set_codec(Codec::Binary);
         msgs.send(&Request::Tick { epoch: 1, parties: 1 }, false).unwrap();
-        msgs.set_codec(Codec::Json);
-        msgs.send(&Request::Stats, true).unwrap();
+        assert!(msgs.send(&Request::Finish, true).is_err());
+        msgs.send(&Request::Stats, false).unwrap();
         (msgs.body_bytes_sent, msgs)
     });
     let (conn, _) = listener.accept().unwrap();
     let mut msgs = MsgStream::new(conn).unwrap();
     let first: Request = msgs.recv().unwrap();
     assert_eq!(first, Request::Tick { epoch: 1, parties: 1 });
-    assert_eq!(msgs.last_recv_codec(), Codec::Binary);
     let second: Request = msgs.recv().unwrap();
     assert_eq!(second, Request::Stats);
-    assert_eq!(msgs.last_recv_codec(), Codec::Json);
     let (sent, sender) = writer.join().unwrap();
     assert_eq!(sent, msgs.body_bytes_received, "both ends count the same body bytes");
     assert!(sent > 0);
@@ -278,7 +237,7 @@ fn msg_stream_reassembles_byte_dribbled_frames() {
         let mut s = std::net::TcpStream::connect(addr).unwrap();
         let mut bytes = Vec::new();
         for req in &sent {
-            bytes.extend_from_slice(&encode_message(req, true).unwrap());
+            bytes.extend_from_slice(&encode(req));
         }
         for b in bytes {
             s.write_all(&[b]).unwrap();
@@ -295,7 +254,7 @@ fn msg_stream_reassembles_byte_dribbled_frames() {
     drop(writer.join().unwrap());
 }
 
-/// Satellite 1: the client reconnect schedule *is* the shard layer's
+/// The client reconnect schedule *is* the shard layer's
 /// seeded-jittered backoff — bounded by the exponential envelope,
 /// deterministic per seed, and actually jittered across seeds.
 #[test]

@@ -15,7 +15,7 @@
 
 use proptest::prelude::*;
 use rrs_core::{ColorId, ColorTable};
-use rrs_service::storage::frame::{self, FrameError};
+use rrs_service::storage::frame::{self, Codec, FrameError};
 use rrs_service::{
     DiskBackend, DiskConfig, PolicySpec, ShardFaults, ShardStore, StorageBackend, TenantSpec,
     WalRecord,
@@ -45,7 +45,8 @@ fn record_strategy() -> impl Strategy<Value = WalRecord> {
         .prop_map(|rows| rows.into_iter().map(|(c, n)| (ColorId(c), n)).collect::<Vec<_>>());
     prop_oneof![
         Just(WalRecord::Tick),
-        (0u64..6, arrivals).prop_map(|(tenant, arrivals)| WalRecord::Submit { tenant, arrivals }),
+        (0u64..6, arrivals)
+            .prop_map(|(tenant, arrivals)| WalRecord::SubmitBatch { entries: vec![(tenant, arrivals)] }),
         proptest::collection::vec((0u64..6, 0u32..3, 1u64..9), 1..=4).prop_map(|rows| {
             WalRecord::SubmitBatch {
                 entries: rows
@@ -127,7 +128,7 @@ proptest! {
     ) {
         let mut buf = Vec::new();
         for record in &records {
-            buf.extend_from_slice(&frame::encode_value(record).unwrap());
+            frame::encode_value_into(record, Codec::Binary, &mut buf).unwrap();
         }
         let (decoded, valid, err) = frame::scan_values::<WalRecord>(&buf);
         prop_assert_eq!(&decoded, &records);
@@ -195,7 +196,9 @@ fn truncation_at_every_byte_of_the_final_segment_recovers_the_prefix() {
     // A fixed, mixed workload long enough to span several tiny segments.
     let records: Vec<WalRecord> = (0..40)
         .map(|i| match i % 4 {
-            0 => WalRecord::Submit { tenant: i % 5, arrivals: vec![(ColorId((i % 3) as u32), 1 + i % 4)] },
+            0 => WalRecord::SubmitBatch {
+                entries: vec![(i % 5, vec![(ColorId((i % 3) as u32), 1 + i % 4)])],
+            },
             1 => WalRecord::SubmitBatch {
                 entries: vec![(i % 5, vec![(ColorId(0), 2)]), ((i + 1) % 5, vec![(ColorId(1), 3)])],
             },
@@ -277,7 +280,7 @@ fn truncation_at_every_byte_of_the_final_segment_recovers_the_prefix() {
 /// proper prefix of a frame is `Torn`, never `Corrupt`.
 #[test]
 fn every_frame_prefix_is_torn_not_corrupt() {
-    let frame = frame::encode_value(&WalRecord::Tick).unwrap();
+    let frame = frame::encode_value_with(&WalRecord::Tick, Codec::Binary).unwrap();
     for len in 0..frame.len() {
         match frame::decode_frame(&frame[..len]) {
             Err(FrameError::Torn) => {}

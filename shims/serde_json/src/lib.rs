@@ -51,21 +51,6 @@ pub fn to_vec<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>, Error> {
     to_string(value).map(String::into_bytes)
 }
 
-/// Serializes into a caller-owned buffer, clearing it first. Reuses `out`'s
-/// allocation so hot encode loops don't allocate per call.
-pub fn to_vec_into<T: Serialize + ?Sized>(value: &T, out: &mut Vec<u8>) -> Result<(), Error> {
-    // Round-trip the Vec through a String to reuse the allocation; the
-    // buffer was valid UTF-8 when we produced it, and we clear it anyway.
-    let mut s = match String::from_utf8(std::mem::take(out)) {
-        Ok(s) => s,
-        Err(e) => String::with_capacity(e.into_bytes().capacity()),
-    };
-    s.clear();
-    write_value(&value.to_value(), &mut s, None, 0);
-    *out = s.into_bytes();
-    Ok(())
-}
-
 /// Serializes to a pretty-printed JSON byte vector.
 pub fn to_vec_pretty<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>, Error> {
     to_string_pretty(value).map(String::into_bytes)
